@@ -9,9 +9,16 @@ functional layer and both consumers:
 * the **timing model** (`repro.pipeline`) replays a trace through the
   cycle-level SMT pipeline — the oracle-trace substitution documented in
   DESIGN.md §2.
+
+Traces pickle columnar (:meth:`Trace.__reduce__`): one static record per
+pc plus flat ``pc``/``addr``/``taken`` columns, instead of one pickled
+object per dynamic instruction.  This is the bulk of every cached
+workload artifact, so it sets the cost of writing and reading one.
 """
 
 from __future__ import annotations
+
+from array import array
 
 from ..isa.opcodes import OpClass
 
@@ -21,7 +28,9 @@ class TraceEntry:
 
     Attributes are deliberately flat scalars/tuples — this object is
     allocated once per simulated instruction and read many times in the
-    timing model's inner loop.
+    timing model's inner loop.  Entries are never mutated after
+    construction and never compared by identity: unpickled traces share
+    them (see :class:`Trace`).
     """
 
     __slots__ = ("pc", "op_class", "srcs", "dst", "addr", "taken",
@@ -49,7 +58,16 @@ class TraceEntry:
 
 
 class Trace:
-    """A complete committed-path trace plus summary statistics."""
+    """A complete committed-path trace plus summary statistics.
+
+    Every entry at one pc carries that instruction's static fields
+    (``op_class``, ``srcs``, ``dst`` and the kind flags); only ``addr``
+    and ``taken`` vary between its dynamic instances.  The columnar
+    pickle relies on it, and an unpickled trace shares one
+    :class:`TraceEntry` object among the instances of a non-memory
+    instruction with the same branch outcome — safe because entries are
+    immutable.
+    """
 
     __slots__ = ("entries", "program_name", "halted", "instret")
 
@@ -60,6 +78,19 @@ class Trace:
         #: True when execution reached ``halt`` (vs. hitting the run limit).
         self.halted = halted
         self.instret = len(entries)
+
+    def __reduce__(self):
+        entries = self.entries
+        statics = {}
+        for e in entries:
+            if e.pc not in statics:
+                statics[e.pc] = (e.op_class, e.srcs, e.dst, e.is_load,
+                                 e.is_store, e.is_branch, e.is_cond)
+        return (_load_trace,
+                (self.program_name, self.halted, statics,
+                 array("q", [e.pc for e in entries]),
+                 array("q", [e.addr for e in entries]),
+                 bytes([e.taken for e in entries])))
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -90,3 +121,29 @@ class Trace:
 
     def load_fraction(self) -> float:
         return self.count_loads() / len(self.entries) if self.entries else 0.0
+
+
+def _load_trace(program_name: str, halted: bool, statics: dict,
+                pcs: array, addrs: array, taken: bytes) -> Trace:
+    """Rebuild a :class:`Trace` from its columnar pickle.
+
+    A non-memory entry (``addr == -1``) is fully determined by its pc and
+    branch outcome, so each such ``(pc, taken)`` pair gets one shared
+    :class:`TraceEntry`; memory entries are rebuilt one per instance.
+    """
+    shared: dict = {}
+    entries = []
+    append = entries.append
+    for pc, addr, tk in zip(pcs, addrs, taken):
+        tk = bool(tk)
+        if addr == -1:
+            entry = shared.get((pc, tk))
+            if entry is None:
+                op, srcs, dst, ld, st, br, cond = statics[pc]
+                entry = shared[pc, tk] = TraceEntry(
+                    pc, op, srcs, dst, -1, tk, ld, st, br, cond)
+        else:
+            op, srcs, dst, ld, st, br, cond = statics[pc]
+            entry = TraceEntry(pc, op, srcs, dst, addr, tk, ld, st, br, cond)
+        append(entry)
+    return Trace(entries, program_name=program_name, halted=halted)

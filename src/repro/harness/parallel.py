@@ -34,8 +34,14 @@ the disk cache instead of recomputed.  Deterministic fault injection for
 all of these paths lives in :mod:`repro.harness.faults`.
 
 Workers share the parent's :class:`~repro.harness.diskcache.DiskCache`
-(when one is attached), so artifact compilation happens at most once per
-workload across the whole fleet — and not at all on a warm cache.
+(when one is attached), and submission is *leader-first*: each pool
+generation submits only the first outstanding cell of every workload and
+holds that workload's other cells until the leader resolves.  The leader's
+worker builds the artifacts and writes them to the shared cache before
+its siblings start, so a cold workload is built once across the whole
+fleet — and not at all on a warm cache.  A leader that fails still
+releases its siblings (they then build for themselves), and a broken
+pool leaves held cells outstanding for the next generation to regroup.
 """
 
 from __future__ import annotations
@@ -156,8 +162,11 @@ def cells_for(experiment: str,
               workloads: list[str] | None = None,
               backend: str | None = None,
               policy: str | None = None) -> list[Cell]:
-    """Enumerate the cell matrix of one experiment, workload-major (so
-    chunked submission keeps one workload's artifacts in one worker)."""
+    """Enumerate the cell matrix of one experiment, workload-major.
+
+    The first cell of each workload is the one :func:`run_cells` submits
+    as that workload's leader; the rest wait for it, so the workload's
+    artifacts are built once and read from the cache by its siblings."""
     configs = EXPERIMENT_CONFIGS[experiment]
     names = workloads or default_workloads(experiment)
     if experiment == "figure9":
@@ -703,17 +712,22 @@ def _drain_pool(runner: ExperimentRunner, outstanding: dict, attempts: dict,
 
     Submits each cell as its own future and harvests completions until
     the queue drains, a worker dies (``BrokenProcessPool``) or a cell
-    overruns ``cell_timeout``.  Retries of plain worker exceptions are
-    resubmitted once their backoff deadline passes, without blocking the
-    harvest loop; the timeout clock starts when an attempt is first seen
-    executing, never while it waits in the submission queue.  Returns
-    True when the pool was abandoned and the caller should rebuild;
+    overruns ``cell_timeout``.  Submission is leader-first (see the
+    module docstring): a workload's later cells are held until its
+    lowest-index outstanding cell resolves — ok, retryable or terminal
+    failure.  Retries of plain worker exceptions are resubmitted once
+    their backoff deadline passes, without blocking the harvest loop;
+    the timeout clock starts when an attempt is first seen executing,
+    never while it waits in the submission queue.  Returns True when the
+    pool was abandoned and the caller should rebuild;
     completed/terminally-failed cells leave ``outstanding`` either way,
-    so a rebuild resubmits only what is left.
+    so a rebuild resubmits — and regroups — only what is left, held
+    cells included.
     """
     pool = _pool(runner, min(workers, len(outstanding)))
     pending: dict[Future, _InFlight] = {}
     backoffs: dict[int, float] = {}   # index -> resubmit-not-before deadline
+    held: dict[str, list[int]] = {}   # workload -> cells behind its leader
     abandon = True
 
     def submit(i: int) -> None:
@@ -723,7 +737,12 @@ def _drain_pool(runner: ExperimentRunner, outstanding: dict, attempts: dict,
 
     try:
         for i in sorted(outstanding):
-            submit(i)
+            workload = outstanding[i].workload
+            if workload in held:
+                held[workload].append(i)
+            else:
+                held[workload] = []
+                submit(i)
         broken = False
         while pending or backoffs:
             now = time.monotonic()
@@ -747,6 +766,7 @@ def _drain_pool(runner: ExperimentRunner, outstanding: dict, attempts: dict,
                 poll = until if poll is None else min(poll, until)
             done, _ = wait(list(pending), timeout=poll,
                            return_when=FIRST_COMPLETED)
+            resolved = []
             for fut in done:
                 meta = pending.pop(fut)
                 i = meta.index
@@ -758,6 +778,7 @@ def _drain_pool(runner: ExperimentRunner, outstanding: dict, attempts: dict,
                     # neither finished a real attempt: the crash charges
                     # the rebuild budget, not the cell's retry budget.
                     broken = True
+                    continue
                 except Exception as exc:
                     attempts[i] += 1
                     if _register_failure(runner, cell, i, attempts[i],
@@ -775,7 +796,14 @@ def _drain_pool(runner: ExperimentRunner, outstanding: dict, attempts: dict,
                                  time.monotonic() - t0, result,
                                  results, report, journal)
                     del outstanding[i]
+                resolved.append(cell.workload)
             if broken:
+                return True
+            try:
+                for workload in resolved:
+                    for j in held.pop(workload, ()):
+                        submit(j)
+            except Exception:
                 return True
             if policy.cell_timeout is None:
                 continue

@@ -86,7 +86,7 @@ class WorkloadArtifacts:
     eval_trace: Trace
     #: prefix replayed functionally before measurement (cache/predictor
     #: warmup — the paper's "skipped instructions")
-    warmup_trace: list
+    warmup_trace: Trace
 
 
 #: The sweep pseudo-backend: not a per-run kernel, but accepted wherever
@@ -245,7 +245,8 @@ class ExperimentRunner:
         full = sim.run(warm_budget + eval_budget, trace=True)
         # A workload that halts early still needs a measurable window.
         warm_budget = min(warm_budget, max(0, len(full.entries) - eval_budget))
-        warmup = full.entries[:warm_budget]
+        warmup = Trace(full.entries[:warm_budget],
+                       program_name=full.program_name, halted=False)
         measured = Trace(full.entries[warm_budget:],
                          program_name=full.program_name, halted=full.halted)
         return WorkloadArtifacts(workload, binary, report, measured, warmup)

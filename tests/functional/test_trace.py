@@ -1,4 +1,6 @@
-"""Committed-trace contents and summary statistics."""
+"""Committed-trace contents, summary statistics and pickling."""
+
+import pickle
 
 from repro.functional import FunctionalSimulator, Trace, TraceEntry, run_program
 from repro.isa import OpClass, assemble
@@ -75,3 +77,78 @@ class TestStatistics:
     def test_halted_flag(self, gather_program):
         full = FunctionalSimulator(gather_program).run(1_000_000, trace=True)
         assert full.halted
+
+
+def _fields(entry):
+    return tuple(getattr(entry, slot) for slot in TraceEntry.__slots__)
+
+
+def _assert_same_trace(a, b):
+    assert [_fields(e) for e in a] == [_fields(e) for e in b]
+    assert (a.program_name, a.halted, a.instret) == \
+        (b.program_name, b.halted, b.instret)
+
+
+class TestPickle:
+    """The columnar pickle: per-pc statics plus pc/addr/taken columns."""
+
+    def test_round_trip_keeps_every_field(self, gather_trace):
+        back = pickle.loads(pickle.dumps(gather_trace))
+        _assert_same_trace(back, gather_trace)
+        assert any(e.is_load for e in back) and any(e.taken for e in back)
+
+    def test_empty_trace(self):
+        back = pickle.loads(pickle.dumps(Trace([], program_name="e",
+                                               halted=False)))
+        _assert_same_trace(back, Trace([], program_name="e", halted=False))
+
+    def test_branches_both_ways_and_extreme_addresses(self):
+        tr = trace_of("li r1, 2\nloop:\naddi r1, r1, -1\n"
+                      "bgtz r1, loop\nli r2, 0x100\nlw r3, 0(r2)")
+        assert {e.taken for e in tr if e.is_cond} == {True, False}
+        load = tr.entries[-1]
+        assert load.is_load
+        for addr in (-8, -(1 << 63), 1 << 40, (1 << 63) - 8):
+            odd = TraceEntry(load.pc, load.op_class, load.srcs, load.dst,
+                             addr, False, True, False, False, False)
+            entries = tr.entries + [odd]
+            mixed = Trace(entries, program_name="x", halted=False)
+            _assert_same_trace(pickle.loads(pickle.dumps(mixed)), mixed)
+
+    def test_non_memory_entries_are_shared(self, gather_trace):
+        back = pickle.loads(pickle.dumps(gather_trace))
+        alu = [e for e in back if e.addr == -1]
+        assert len({id(e) for e in alu}) == \
+            len({(e.pc, e.taken) for e in alu})
+        loads = [e for e in back if e.is_load]
+        assert len({id(e) for e in loads}) == len(loads)
+
+    def test_pre_columnar_pickle_still_loads(self, gather_trace,
+                                             monkeypatch):
+        monkeypatch.delattr(Trace, "__reduce__")
+        old = pickle.dumps(gather_trace, pickle.HIGHEST_PROTOCOL)
+        monkeypatch.undo()
+        assert old != pickle.dumps(gather_trace, pickle.HIGHEST_PROTOCOL)
+        _assert_same_trace(pickle.loads(old), gather_trace)
+
+    def test_unpickled_artifacts_simulate_identically(self):
+        from repro.core import SPEAR_128
+        from repro.harness import ExperimentRunner
+        from repro.memory import MemoryHierarchy
+        from repro.pipeline.kernel import make_simulator
+
+        art = ExperimentRunner(instruction_scale=0.05).artifacts("pointer")
+        back = pickle.loads(pickle.dumps(art, pickle.HIGHEST_PROTOCOL))
+        assert isinstance(back.warmup_trace, Trace)
+        assert len(back.warmup_trace) > 0
+
+        def simulate(a):
+            return make_simulator(
+                "reference", a.eval_trace, SPEAR_128, a.binary.table,
+                MemoryHierarchy(latencies=SPEAR_128.latencies),
+                warmup=a.warmup_trace).run()
+
+        want, got = simulate(art), simulate(back)
+        assert got.stats.snapshot() == want.stats.snapshot()
+        assert got.memory == want.memory
+        assert got.predictor == want.predictor
