@@ -19,12 +19,8 @@ def test_policy_ablation(benchmark, runner, out_dir):
     table = result.table()
     fixed = result.geomean("fixed")
     epoch = result.geomean("adaptive-epoch")
-    phase = result.geomean("adaptive-phase")
     assert epoch >= fixed, (epoch, fixed)
     # Per-workload, too: adaptive-epoch never loses to fixed.
     for row in result.rows:
         assert row["adaptive-epoch"] >= row["fixed"] - 1e-12, row
-    # The in-run controller has no reject-and-rerun safety net; hold it
-    # to "never loses more than 2% geomean" instead.
-    assert phase >= fixed - 0.02, (phase, fixed)
     emit(out_dir, "ablation_policy", table.render())

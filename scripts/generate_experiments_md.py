@@ -228,11 +228,10 @@ SECTIONS = [
      "120-d-cycle budget vs growing to the outermost call-free loop."),
     ("ablation_policy", "Ablation — adaptive trigger policy",
      "Fixed (the paper's operating point) vs the timeliness-feedback "
-     "adaptive policies of docs/adaptive-policy.md: adaptive-epoch "
-     "converges across repeated runs and by construction never falls "
-     "below fixed; adaptive-phase re-decides inside one run at "
-     "decision-interval boundaries.  The d-* columns are the "
-     "adaptive-epoch fill-timeliness movement vs fixed."),
+     "adaptive-epoch policy of docs/adaptive-policy.md, which converges "
+     "across repeated runs and by construction never falls below "
+     "fixed.  The d-* columns are the adaptive-epoch fill-timeliness "
+     "movement vs fixed."),
 ]
 
 

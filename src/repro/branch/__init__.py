@@ -1,9 +1,7 @@
-"""Branch direction prediction (bimodal default, per the paper's Table 2)."""
+"""Branch direction prediction (bimodal, per the paper's Table 2)."""
 
-from .predictors import (AlwaysTakenPredictor, BimodalPredictor,
-                         BranchPredictor, GsharePredictor, PredictorStats,
-                         StaticBTFNPredictor, make_predictor)
+from .predictors import (BimodalPredictor, BranchPredictor, PredictorStats,
+                         make_predictor)
 
-__all__ = ["AlwaysTakenPredictor", "BimodalPredictor", "BranchPredictor",
-           "GsharePredictor", "PredictorStats", "StaticBTFNPredictor",
+__all__ = ["BimodalPredictor", "BranchPredictor", "PredictorStats",
            "make_predictor"]

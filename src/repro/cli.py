@@ -87,6 +87,7 @@ from .harness import (Cell, DiskCache, ExecutionPolicy, ExperimentRunner,
                       table1, table2, table3)
 from .harness.faults import FAULTS_ENV, FaultSpecError, active_faults
 from .observe import EVENT_KINDS, filter_events
+from .policy import POLICIES
 from .workloads import all_workload_names, get_workload
 
 
@@ -106,12 +107,10 @@ def _add_backend(p: argparse.ArgumentParser) -> None:
 
 
 def _add_policy(p: argparse.ArgumentParser) -> None:
-    from .policy import POLICIES
     p.add_argument("--policy", default=None, choices=list(POLICIES),
                    help="trigger policy (default fixed = the paper's "
                         "operating point; adaptive-epoch converges across "
-                        "repeated runs, adaptive-phase re-decides at "
-                        "interval boundaries; see docs/adaptive-policy.md)")
+                        "repeated runs; see docs/adaptive-policy.md)")
 
 
 def _add_cache(p: argparse.ArgumentParser) -> None:
@@ -317,7 +316,7 @@ def cmd_analyze(args) -> int:
 
 #: ``analyze --timeline`` keys with a dedicated rendering (the main
 #: sample table).  Every *other* timeline key renders generically below,
-#: so a new series (e.g. ``policy``) is never silently dropped.
+#: so a new series (e.g. ``per_thread``) is never silently dropped.
 _TIMELINE_KNOWN = ("interval", "samples")
 
 
@@ -591,11 +590,9 @@ def cmd_ablate_policy(args) -> int:
     """
     from .harness import (ablate_policy, ablate_policy_cells,
                           policy_ablation_workloads)
-    from .policy import POLICIES
     runner = _runner(args)
     workloads = args.workloads or policy_ablation_workloads()
-    policies = tuple(args.policies) if args.policies else (
-        "fixed", "adaptive-epoch", "adaptive-phase")
+    policies = tuple(args.policies) if args.policies else POLICIES
     bad_policies = sorted(set(policies) - set(POLICIES))
     if bad_policies:
         print(f"unknown polic{'ies' if len(bad_policies) > 1 else 'y'} "
@@ -1239,8 +1236,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "benchmarks plus the promoted fz* fuzz finds)")
     p.add_argument("--policies", nargs="*", default=None,
                    metavar="POLICY",
-                   help="policy columns (default: fixed adaptive-epoch "
-                        "adaptive-phase)")
+                   help=f"policy columns (default: {' '.join(POLICIES)})")
     _add_scale(p)
     _add_backend(p)
     _add_perf(p)

@@ -90,12 +90,11 @@ class MachineConfig:
     pthread_ruu_size: int = 64
     #: Fraction of the IFQ that must be occupied for a trigger (paper:
     #: half).  This is the *configured* operating point: under the
-    #: default ``fixed`` trigger policy it holds for the whole run, but
-    #: an adaptive policy (``--policy adaptive-epoch``/``adaptive-phase``)
-    #: may override the live value the simulator consults — between runs
-    #: (epoch) or at decision-interval boundaries inside one run (phase)
-    #: — walking the documented level ladder.  The config itself is
-    #: never mutated.  See docs/adaptive-policy.md.
+    #: default ``fixed`` trigger policy it holds for the whole run;
+    #: ``--policy adaptive-epoch`` re-runs the workload at other rungs of
+    #: the documented level ladder (as modified copies of this config),
+    #: adopting a rung only when IPC does not drop.  See
+    #: docs/adaptive-policy.md.
     trigger_occupancy_fraction: float = 0.5
     #: Max p-thread instructions extracted per cycle (paper: issue_width/2).
     extract_width: int = 4

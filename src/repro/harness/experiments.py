@@ -19,6 +19,7 @@ from ..memory.hierarchy import FIG9_LATENCIES, LatencyConfig
 from ..observe.compare import (PE_EVENT_KINDS, SuiteDiff, TimelineDiff,
                                diff_timelines)
 from ..observe.render import render_report, render_suite_report
+from ..policy import POLICIES
 from ..workloads.base import all_workload_names, get_workload
 from .runner import SWEEP_BACKEND, ExperimentRunner, TracedRun, TraceSpec
 from .tables import TextTable, arithmetic_mean, geometric_mean
@@ -526,7 +527,7 @@ def timeliness(runner: ExperimentRunner,
 # ---------------------------------------------------------------------------
 
 #: Fuzz-campaign finds promoted as workloads (PR 8) — included in the
-#: policy ablation so the feedback controller is exercised on kernels the
+#: policy ablation so the epoch feedback loop is exercised on kernels the
 #: hand-built suite does not cover.
 FUZZ_WORKLOADS = ["fzgain", "fzmix", "fzdrag", "fzsrl"]
 
@@ -570,8 +571,7 @@ class PolicyAblationResult:
 
 def ablate_policy(runner: ExperimentRunner,
                   workloads: list[str] | None = None,
-                  policies: tuple[str, ...] = ("fixed", "adaptive-epoch",
-                                               "adaptive-phase"),
+                  policies: tuple[str, ...] = POLICIES,
                   config: MachineConfig = SPEAR_128,
                   baseline: MachineConfig = BASELINE
                   ) -> PolicyAblationResult:
@@ -617,9 +617,7 @@ def ablate_policy(runner: ExperimentRunner,
 
 
 def ablate_policy_cells(workloads: list[str] | None = None,
-                        policies: tuple[str, ...] = ("fixed",
-                                                     "adaptive-epoch",
-                                                     "adaptive-phase"),
+                        policies: tuple[str, ...] = POLICIES,
                         config: MachineConfig = SPEAR_128,
                         baseline: MachineConfig = BASELINE,
                         backend: str | None = None) -> list:

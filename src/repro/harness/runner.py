@@ -17,7 +17,7 @@ figure pays neither compilation, tracing nor simulation.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 from ..compiler.driver import CompileReport, compile_spear
 from ..compiler.slicer import SlicerConfig
@@ -33,7 +33,7 @@ from ..pipeline.fastforward import FastForwardSimulator
 from ..pipeline.kernel import DEFAULT_BACKEND, make_simulator, resolve_kernel
 from ..pipeline.stats import PipelineResult
 from ..pipeline.sweep import BatchedSweepSimulator
-from ..policy import DEFAULT_POLICY, make_policy, resolve_policy
+from ..policy import DEFAULT_POLICY, converge, resolve_policy
 from ..workloads.base import Workload, get_workload
 from .diskcache import DiskCache
 
@@ -291,12 +291,11 @@ class ExperimentRunner:
 
     def _run_adaptive(self, name: str, config: MachineConfig, kernel: str,
                       pol: str) -> PipelineResult:
-        """One cell under a non-fixed policy.
+        """One cell under ``adaptive-epoch``.
 
-        ``adaptive-epoch`` converges through plain fixed runs (each one
+        The epoch loop converges through plain fixed runs (each one
         memoized under its ordinary key, so epochs are shared with — and
-        epoch 0 *is* — the fixed result); ``adaptive-phase`` attaches a
-        fresh in-run controller.  Either way the outcome memoizes under a
+        epoch 0 *is* — the fixed result).  The outcome memoizes under a
         ``(name, config, kernel, policy)`` 4-tuple — a different tuple
         length than fixed keys, so the two can never collide.
         """
@@ -307,21 +306,9 @@ class ExperimentRunner:
             if self.cache is not None:
                 result = self.cache.get("results", payload)
             if result is None:
-                policy_obj = make_policy(pol)
-                converged = policy_obj.converge(
+                result, _ = converge(
                     lambda cfg: self.run(name, cfg, backend=kernel,
                                          policy=DEFAULT_POLICY), config)
-                if converged is not None:
-                    result, _ = converged
-                else:
-                    art = self.artifacts(name)
-                    memory = MemoryHierarchy(latencies=config.latencies)
-                    sim = make_simulator(
-                        kernel, art.eval_trace, config, art.binary.table,
-                        memory, warmup=art.warmup_trace,
-                        policy=policy_obj.make_controller(config))
-                    result = sim.run()
-                    self.simulations += 1
                 if self.cache is not None:
                     self.cache.put("results", payload, result)
             self._results[key] = result
@@ -346,9 +333,9 @@ class ExperimentRunner:
         kernel = self._kernel(SWEEP_BACKEND if kernel is None else kernel)
         if self.effective_policy(policy, config) != DEFAULT_POLICY:
             # A batched sweep shares one compile/trace pass across points
-            # but cannot thread per-point epoch loops or controllers, so
-            # adaptive sweeps degrade to independent per-point runs —
-            # same results, one trace walk per point instead of one total.
+            # but cannot thread per-point epoch loops, so adaptive sweeps
+            # degrade to independent per-point runs — same results, one
+            # trace walk per point instead of one total.
             return [self.run(name, config, lat, backend=kernel,
                              policy=policy) for lat in latencies]
         keys, missing = [], []
@@ -398,13 +385,9 @@ class ExperimentRunner:
         parameters (the parallel engine ships it on the cell); when given
         it overrides the individual keyword arguments.
 
-        Policies follow the same rules as :meth:`run`: ``adaptive-phase``
-        attaches its controller to the traced simulation (so
-        ``policy-decision`` events land in the stream and the decision
-        series in the timeline); ``adaptive-epoch`` first converges
-        through plain runs, then traces one run at the converged
-        operating point — in-run decision events only ever appear under
-        ``adaptive-phase``.
+        Policies follow the same rules as :meth:`run`: ``adaptive-epoch``
+        first converges through plain runs, then traces one run at the
+        converged operating point and tags it with the epoch summary.
         """
         if spec is None:
             spec = TraceSpec(interval, capacity,
@@ -420,21 +403,15 @@ class ExperimentRunner:
             if self.cache is not None:
                 traced = self.cache.get("traces", payload)
             if traced is None:
-                import dataclasses
-                run_cfg, controller, epoch_summary = config, None, None
+                run_cfg, epoch_summary = config, None
                 if pol != DEFAULT_POLICY:
-                    policy_obj = make_policy(pol)
-                    controller = policy_obj.make_controller(config)
-                    if controller is None:
-                        # Epoch mode: trace the converged operating point.
-                        converged = self.run(name, config, backend=kernel,
-                                             policy=pol)
-                        epoch_summary = converged.policy
-                        run_cfg = dataclasses.replace(
-                            config,
-                            trigger_occupancy_fraction=epoch_summary[
-                                "final_fraction"],
-                            chaining=epoch_summary["final_chaining"])
+                    epoch_summary = self.run(name, config, backend=kernel,
+                                             policy=pol).policy
+                    run_cfg = replace(
+                        config,
+                        trigger_occupancy_fraction=epoch_summary[
+                            "final_fraction"],
+                        chaining=epoch_summary["final_chaining"])
                 art = self.artifacts(name)
                 sink = RingBufferSink(spec.capacity, kinds=spec.kinds)
                 sampler = IntervalSampler(spec.interval)
@@ -442,12 +419,11 @@ class ExperimentRunner:
                 sim = make_simulator(kernel, art.eval_trace, run_cfg,
                                      art.binary.table, memory,
                                      warmup=art.warmup_trace,
-                                     tracer=sink, sampler=sampler,
-                                     policy=controller)
+                                     tracer=sink, sampler=sampler)
                 result = sim.run()
                 self.simulations += 1
                 if epoch_summary is not None:
-                    result = dataclasses.replace(result, policy=epoch_summary)
+                    result = replace(result, policy=epoch_summary)
                 traced = TracedRun(result, sink.events(), sink.emitted,
                                    sink.dropped)
                 if self.cache is not None:

@@ -17,7 +17,7 @@ from .compare import (NEUTRAL_CYCLES, PE_EVENT_KINDS, SuiteDiff,
 from .events import (COMMIT, COMPLETE, DECODE, EVENT_KINDS, EXTRACT, FETCH,
                      FILL, ISSUE, JOB_DONE, JOB_FAILED, JOB_PENDING,
                      JOB_RUNNING, JOB_STATES, JobEvent, MISPREDICT, MODE,
-                     MODE_NAMES, POLICY, PREFETCH, TraceEvent, filter_events,
+                     MODE_NAMES, PREFETCH, TraceEvent, filter_events,
                      serialize_events)
 from .render import (render_diff_svg, render_diff_text, render_report,
                      render_suite_report, render_suite_svg,
@@ -28,7 +28,6 @@ from .sinks import JsonlStreamSink, RingBufferSink, TraceSink
 __all__ = ["TraceEvent", "EVENT_KINDS", "MODE_NAMES", "filter_events",
            "serialize_events", "FETCH", "DECODE", "ISSUE", "COMPLETE",
            "COMMIT", "MISPREDICT", "MODE", "EXTRACT", "PREFETCH", "FILL",
-           "POLICY",
            "JobEvent", "JOB_STATES", "JOB_PENDING", "JOB_RUNNING",
            "JOB_DONE", "JOB_FAILED",
            "IntervalSampler", "THREAD_NAMES", "JsonlStreamSink",

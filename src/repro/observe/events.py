@@ -30,10 +30,9 @@ MODE = "mode"            #: SPEAR pre-execution mode transition
 EXTRACT = "extract"      #: PE copied a marked IFQ entry into the p-thread
 PREFETCH = "prefetch"    #: hardware prefetcher proposed a target
 FILL = "fill"            #: a prefetch actually started an L1 fill
-POLICY = "policy-decision"  #: adaptive trigger policy changed/held course
 
 EVENT_KINDS = (FETCH, DECODE, ISSUE, COMPLETE, COMMIT, MISPREDICT, MODE,
-               EXTRACT, PREFETCH, FILL, POLICY)
+               EXTRACT, PREFETCH, FILL)
 
 #: SPEAR mode names, indexed by the timing model's internal state codes.
 MODE_NAMES = ("IDLE", "DRAIN", "COPY", "ACTIVE")

@@ -42,7 +42,7 @@ class FastForwardSimulator(TimingSimulator):
     ff_jumps = 0
     ff_cycles_skipped = 0
 
-    def _fast_forward(self, cycle: int, stop: int, ifq_occ_sum: int,
+    def _fast_forward(self, cycle: int, ifq_occ_sum: int,
                       ruu_occ_sum: int, mode_cycles: int
                       ) -> tuple[int, int, int, int] | None:
         """Skip to the next event horizon if this cycle is provably idle.
@@ -115,11 +115,8 @@ class FastForwardSimulator(TimingSimulator):
                 return None                  # producers), as the mode
             drain_stall = True               # tick would this cycle
         elif mode == _IDLE:
-            # ``_chaining``/``_trigger_occ`` are the *live* operating
-            # point (an adaptive-phase controller may have moved them),
-            # mirroring the reference loop's hoisted locals exactly.
             if (cfg.spear_enabled and ifq.marked_queue
-                    and (self._chaining
+                    and (cfg.chaining
                          or len(ifq_slots) >= self._trigger_occ)
                     and self._retrigger_candidate() is not None):
                 return None                  # a dormant d-load would fire
@@ -139,21 +136,6 @@ class FastForwardSimulator(TimingSimulator):
                 horizon = nxt
         if fetch_resume and fetch_resume < horizon:
             horizon = fetch_resume
-        policy = self._policy
-        if policy is not None:
-            # Never jump past a policy decision boundary: clamping the
-            # horizon to the boundary-processing cycle (the cycle ``c``
-            # with ``(c + 1) % interval == 0``) lets the normal loop
-            # bottom run the controller tick there, so decisions fire at
-            # identical cycles on every kernel.  If the *current* cycle
-            # is a boundary the clamp makes ``delta <= 0`` and the skip
-            # is refused outright.
-            pint = policy.interval
-            boundary = (cycle // pint + 1) * pint - 1
-            if boundary < horizon:
-                horizon = boundary
-        if horizon > stop:
-            horizon = stop
         delta = horizon - cycle
         if delta <= 0:
             return None

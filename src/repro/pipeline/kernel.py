@@ -1,9 +1,9 @@
-"""Timing-kernel protocol and backend registry.
+"""Timing-kernel backend registry.
 
-The simulator core is split from its cycle-advancement strategy: the
-:class:`TimingKernel` protocol names the narrow surface every backend
-exposes (``run``, ``step``, ``next_event_horizon``, ``stats_snapshot``),
-and :data:`KERNELS` maps backend names to implementations:
+The simulator core is split from its cycle-advancement strategy: every
+backend shares :class:`~repro.pipeline.smt.TimingSimulator`'s constructor
+and its one entry point, ``run()``, and :data:`KERNELS` maps backend
+names to implementations:
 
 ``reference``
     :class:`~repro.pipeline.smt.TimingSimulator` — the cycle-by-cycle
@@ -24,32 +24,8 @@ streams versus ``reference`` — see ``tests/properties/test_backends.py``
 
 from __future__ import annotations
 
-from typing import Protocol, runtime_checkable
-
 from .fastforward import FastForwardSimulator
 from .smt import TimingSimulator
-from .stats import PipelineResult
-
-
-@runtime_checkable
-class TimingKernel(Protocol):
-    """What the harness needs from a timing backend."""
-
-    #: registry name of the backend
-    backend: str
-
-    def run(self) -> PipelineResult:
-        """Run the whole trace and return the result."""
-
-    def step(self) -> bool:
-        """Advance one cycle; True while the run is incomplete."""
-
-    def next_event_horizon(self) -> int:
-        """Earliest future cycle at which new work can appear."""
-
-    def stats_snapshot(self) -> dict:
-        """Current counters as a plain dict (valid mid-run)."""
-
 
 #: Backend name -> simulator class.
 KERNELS: dict[str, type[TimingSimulator]] = {

@@ -98,8 +98,7 @@ class TimingSimulator:
                  warmup: Trace | list | None = None,
                  tracer: TraceSink | None = None,
                  sampler: IntervalSampler | None = None,
-                 predictor=None, flags: tuple | None = None,
-                 policy=None):
+                 predictor=None, flags: tuple | None = None):
         self.trace = trace
         self.config = config
         #: observability hooks — every emit site checks ``is not None``
@@ -114,8 +113,7 @@ class TimingSimulator:
         #: latency point; a caller who passes one also skips ``warmup``.
         self.predictor = predictor if predictor is not None else \
             make_predictor(config.predictor,
-                           table_size=config.predictor_table_size,
-                           targets={})
+                           table_size=config.predictor_table_size)
         self.prefetcher = make_prefetcher(
             config.prefetcher, block_bytes=self.mem.l1.config.block_bytes,
             degree=config.prefetch_degree)
@@ -180,18 +178,8 @@ class TimingSimulator:
         self._issued_by_thread = [0, 0]
 
         #: ``MachineConfig.trigger_occupancy`` is a derived property; it is
-        #: consulted on every fetch group, so compute it once.  Both it and
-        #: the chaining shadow below are the *live* operating point: fixed
-        #: for the config's lifetime under the fixed policy, mutated at
-        #: decision boundaries by an attached phase controller.
+        #: consulted on every fetch group, so compute it once.
         self._trigger_occ = config.trigger_occupancy
-        self._chaining = config.chaining
-        #: optional in-run trigger-policy controller (adaptive-phase);
-        #: ``None`` is the fixed policy and costs one predictable branch
-        #: per decision-interval check in the run loop.
-        self._policy = policy
-        if policy is not None:
-            policy.attach(self)
 
         # Trace-derived vectors, computed once per run instead of touching
         # TraceEntry attributes and pc sets per fetched instruction.
@@ -210,67 +198,21 @@ class TimingSimulator:
     # ------------------------------------------------------------------
 
     def run(self) -> PipelineResult:
-        """Run the whole trace and return the result (TimingKernel API)."""
-        self._run_loop(self.config.max_cycles)
+        """Run the whole trace and return the result."""
+        self._run_loop()
         return self._finalize()
 
-    def step(self) -> bool:
-        """Advance exactly one cycle (TimingKernel API).
-
-        Returns True while the run is incomplete, so ``while sim.step():
-        ...`` drives a run to the same state ``run()`` would reach —
-        stats are flushed at every step boundary, which is what makes
-        mid-run :meth:`stats_snapshot` meaningful.
-        """
-        n = len(self._entries)
-        if self._committed < n:
-            self._run_loop(self._cycle + 1)
-        return self._committed < n
-
-    def next_event_horizon(self) -> int:
-        """Earliest future cycle at which new work can appear if the
-        machine is otherwise idle (TimingKernel API): the next completion
-        event, the post-mispredict fetch-redirect cycle, or ``max_cycles``
-        when nothing at all is in flight (the deadlock bound)."""
-        horizon = self.config.max_cycles
-        events = self._events
-        if events:
-            horizon = min(horizon, min(events))
-        if self._await_branch_idx < 0 and self._cycle < self._fetch_resume_cycle:
-            horizon = min(horizon, self._fetch_resume_cycle)
-        return horizon
-
-    def stats_snapshot(self) -> dict:
-        """Current counters as a plain dict (TimingKernel API) — valid
-        mid-run between :meth:`step` calls, not just at the end."""
-        stats = self.stats
-        snap = stats.snapshot()
-        cycle = self._cycle
-        committed = self._committed
-        snap.update(
-            cycles=cycle, committed=committed,
-            ipc=committed / cycle if cycle else 0.0,
-            avg_ifq_occupancy=stats.ifq_occupancy_sum / cycle if cycle else 0.0,
-            avg_ruu_occupancy=stats.ruu_occupancy_sum / cycle if cycle else 0.0,
-            backend=self.backend)
-        return snap
-
-    def _run_loop(self, stop: int) -> None:
+    def _run_loop(self) -> None:
         # The per-cycle loop dominates wall clock; everything invariant is
         # hoisted into locals, the rare phases (complete / commit / mode
         # tick / issue) are only dispatched when their guard says they have
         # work, and the every-cycle phases (decode, fetch) are inlined —
         # semantics are identical to calling each phase unconditionally.
-        # Resumable: accumulators seed from the stats fields and flush back
-        # on exit, so any split of a run into ``_run_loop`` calls (one big
-        # one, per-cycle steps, fast-forward jumps) leaves identical state.
         n = len(self._entries)
         cfg = self.config
         stats = self.stats
         sstats = stats.spear
         max_cycles = cfg.max_cycles
-        if stop > max_cycles:
-            stop = max_cycles
         decode_width = cfg.decode_width
         fetch_width = cfg.fetch_width
         ruu_size = cfg.ruu_size
@@ -282,11 +224,8 @@ class TimingSimulator:
         ifq_size = ifq.size
         marked_queue = ifq.marked_queue
         spear = cfg.spear_enabled
-        chaining = self._chaining
+        chaining = cfg.chaining
         trigger_occ = self._trigger_occ
-        policy = self._policy
-        policy_on = policy is not None
-        policy_interval = policy.interval if policy_on else 0
         entries = self._entries
         marked_flags = self._marked_flags
         dload_flags = self._dload_flags
@@ -308,7 +247,7 @@ class TimingSimulator:
         fetched_total = stats.fetched
         while self._committed < n:
             cycle = self._cycle
-            if cycle >= stop:
+            if cycle >= max_cycles:
                 break
             if (ff and cycle not in events and not main_ready
                     and not self._pt_ready and not (rob and rob[0].done)):
@@ -318,12 +257,12 @@ class TimingSimulator:
                 # classified stats and sampler boundaries in bulk.  The
                 # guard repeats the hook's cheapest vetoes inline so busy
                 # cycles never pay the call.
-                jump = self._fast_forward(cycle, stop, ifq_occ_sum,
-                                          ruu_occ_sum, mode_cycles)
+                jump = self._fast_forward(cycle, ifq_occ_sum, ruu_occ_sum,
+                                          mode_cycles)
                 if jump is not None:
                     cycle, ifq_occ_sum, ruu_occ_sum, mode_cycles = jump
                     self._cycle = cycle
-                    if cycle >= stop:
+                    if cycle >= max_cycles:
                         break
             finished = events.pop(cycle, None)
             if finished is not None:
@@ -481,16 +420,6 @@ class TimingSimulator:
             if self._mode != _IDLE:
                 mode_cycles += 1
             self._cycle = cycle + 1
-            if policy_on and (cycle + 1) % policy_interval == 0:
-                # Decision boundary: the controller may move the live
-                # operating point, so the hoisted locals must refresh.
-                # Keyed on the cycle number alone (like the sampler), so
-                # any split of the run into _run_loop calls — steps,
-                # fast-forward jumps clamped to the boundary — produces
-                # the identical decision sequence.
-                if policy.tick(self, cycle + 1):
-                    trigger_occ = self._trigger_occ
-                    chaining = self._chaining
             if sampling and (cycle + 1) % sample_interval == 0:
                 sampler.take(cycle + 1, self._committed, ifq_occ_sum,
                              ruu_occ_sum, mode_cycles, main_ts.accesses,
@@ -508,7 +437,7 @@ class TimingSimulator:
 
     def _finalize(self) -> PipelineResult:
         """Close out a completed run: tail sampler interval, final stats
-        fields, and the :class:`PipelineResult` (TimingKernel API)."""
+        fields, and the :class:`PipelineResult`."""
         stats = self.stats
         sampler = self._sampler
         if sampler is not None:
@@ -521,14 +450,6 @@ class TimingSimulator:
                          per_thread=self._thread_counters())
         stats.cycles = self._cycle
         stats.committed = self._committed
-        timeline = sampler.timeline() if sampler is not None else None
-        policy = self._policy
-        if policy is not None and timeline is not None:
-            # Attach the decision series so policy moves are attributable
-            # against the sampled phases (rendered generically by
-            # ``repro analyze --timeline``).
-            timeline = dict(timeline)
-            timeline["policy"] = policy.series()
         return PipelineResult(
             config_name=self.config.name,
             stats=stats,
@@ -537,10 +458,9 @@ class TimingSimulator:
                        "lookups": self.predictor.stats.lookups},
             prefetcher=self.prefetcher.stats.snapshot(),
             workload=self.trace.program_name,
-            timeline=timeline,
-            policy=policy.summary() if policy is not None else None)
+            timeline=sampler.timeline() if sampler is not None else None)
 
-    def _fast_forward(self, cycle: int, stop: int, ifq_occ_sum: int,
+    def _fast_forward(self, cycle: int, ifq_occ_sum: int,
                       ruu_occ_sum: int, mode_cycles: int
                       ) -> tuple[int, int, int, int] | None:
         """Fast-forward hook; the reference kernel never skips.
@@ -727,10 +647,8 @@ class TimingSimulator:
 
         With chaining triggers enabled the occupancy requirement is waived:
         a completed p-thread hands off to the next dormant d-load directly,
-        the Collins-style chaining the paper's related work describes.
-        ``_chaining`` is the live operating point (an adaptive-phase
-        controller may flip it mid-run), not the config constant."""
-        if (not self._chaining
+        the Collins-style chaining the paper's related work describes."""
+        if (not self.config.chaining
                 and self.ifq.occupancy < self._trigger_occ):
             return
         self.ifq.prune_marked()
@@ -990,15 +908,13 @@ def simulate(trace: Trace, config: MachineConfig,
              memory: MemoryHierarchy | None = None,
              tracer: TraceSink | None = None,
              sampler: IntervalSampler | None = None,
-             backend: str = "reference",
-             policy=None) -> PipelineResult:
+             backend: str = "reference") -> PipelineResult:
     """Run ``trace`` through ``config`` and return the result.
 
     ``backend`` selects the timing kernel (see
     :mod:`repro.pipeline.kernel`); every backend is byte-identical to
-    ``reference``, so this is purely a wall-clock knob.  ``policy`` is an
-    optional in-run trigger-policy controller (see :mod:`repro.policy`).
+    ``reference``, so this is purely a wall-clock knob.
     """
     from .kernel import make_simulator
     return make_simulator(backend, trace, config, table, memory,
-                          tracer=tracer, sampler=sampler, policy=policy).run()
+                          tracer=tracer, sampler=sampler).run()

@@ -102,7 +102,7 @@ class PipelineResult:
     #: (one series per hardware thread) — see
     #: :meth:`repro.observe.sampler.IntervalSampler.timeline`.
     timeline: dict | None = None
-    #: adaptive trigger-policy summary (controller/epoch outcome) when the
+    #: adaptive trigger-policy summary (the epoch outcome) when the
     #: run executed under a non-fixed policy; None — a class-level default,
     #: so pre-policy pickled results still unpickle — for fixed runs, which
     #: keeps their summaries and serialized forms byte-identical.

@@ -63,8 +63,7 @@ class BatchedSweepSimulator:
         flags = trace_flags(self.trace, table)
         proto_mem = MemoryHierarchy(latencies=self.latencies[0])
         predictor = make_predictor(config.predictor,
-                                   table_size=config.predictor_table_size,
-                                   targets={})
+                                   table_size=config.predictor_table_size)
         if self.warmup is not None:
             for e in self.warmup:
                 if e.addr >= 0:

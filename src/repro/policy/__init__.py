@@ -7,28 +7,20 @@ fill-attribution counters:
 
 * :mod:`~repro.policy.base` — the policy registry, the aggressiveness
   ladder (:data:`LEVELS`), the feedback signals and the pure control law
-  (:func:`propose`), plus :class:`PolicyProtocol`.
-* :mod:`~repro.policy.controller` — the in-run :class:`PhaseController`
-  state machine behind ``adaptive-phase``.
-* :mod:`~repro.policy.adaptive` — the three implementations and the
-  :func:`make_policy` factory.
+  (:func:`propose`).
+* :mod:`~repro.policy.adaptive` — :func:`converge`, the between-run
+  epoch loop behind ``adaptive-epoch``.
 
-Specification (state machine, determinism and cache-key contracts):
+Specification (control law, determinism and cache-key contracts):
 ``docs/adaptive-policy.md``.
 """
 
-from .adaptive import (MAX_EPOCHS, AdaptiveEpochPolicy, AdaptivePhasePolicy,
-                       FixedPolicy, make_policy)
+from .adaptive import MAX_EPOCHS, converge
 from .base import (DEFAULT_POLICY, LEVELS, MIN_FILLS, POLICIES,
-                   PolicyProtocol, PolicySignals, propose, resolve_policy,
-                   start_level)
-from .controller import COOLDOWN_WINDOWS, PhaseController
+                   PolicySignals, propose, resolve_policy, start_level)
 
 __all__ = [
     "DEFAULT_POLICY", "POLICIES", "LEVELS", "MIN_FILLS", "MAX_EPOCHS",
-    "COOLDOWN_WINDOWS",
-    "PolicyProtocol", "PolicySignals", "propose", "resolve_policy",
-    "start_level",
-    "FixedPolicy", "AdaptiveEpochPolicy", "AdaptivePhasePolicy",
-    "PhaseController", "make_policy",
+    "PolicySignals", "propose", "resolve_policy", "start_level",
+    "converge",
 ]

@@ -1,21 +1,13 @@
-"""The three trigger policies: fixed, adaptive-epoch, adaptive-phase.
+"""The ``adaptive-epoch`` policy: per-workload convergence across runs.
 
-``fixed``
-    The paper's static half-IFQ trigger.  No controller, no epoch loop;
-    a fixed-policy run is *the same code path* as a run with no policy
-    layer at all, which is what keeps it byte-identical to the pre-policy
-    tree (and keeps its cache/journal keys unchanged).
-``adaptive-epoch``
-    Per-workload convergence: repeated whole-run epochs, each re-decided
-    from the previous epoch's end-of-run fill attribution, with a
-    measured guard — a move is adopted only if the epoch's IPC did not
-    drop.  Epoch 0 *is* the fixed run, so the converged result can never
-    be worse than fixed (the ablation's no-regression guarantee).
-``adaptive-phase``
-    Per-phase adaptation inside a single run via
-    :class:`~repro.policy.controller.PhaseController`: the operating
-    point is re-decided at interval-sampler boundaries from windowed
-    counters, with trial/revert self-correction.
+Repeated whole-run epochs, each re-decided from the previous epoch's
+end-of-run fill attribution, with a measured guard — a move is adopted
+only if the epoch's IPC did not drop.  Epoch 0 *is* the fixed run, so
+the converged result can never be worse than fixed (the ablation's
+no-regression guarantee).  The ``fixed`` policy needs no code here: a
+fixed run is *the same code path* as a run with no policy layer at all,
+which is what keeps it byte-identical to the pre-policy tree (and keeps
+its cache/journal keys unchanged).
 
 See ``docs/adaptive-policy.md`` for the full specification.
 """
@@ -24,119 +16,67 @@ from __future__ import annotations
 
 import dataclasses
 
-from .base import (DEFAULT_POLICY, LEVELS, PolicySignals, propose,
-                   resolve_policy, start_level)
-from .controller import PhaseController
+from .base import LEVELS, PolicySignals, propose, start_level
 
 #: Upper bound on adaptive-epoch convergence runs beyond the fixed one.
 MAX_EPOCHS = 4
 
 
-class FixedPolicy:
-    """The paper's fixed trigger: no feedback, no state."""
+def converge(run_fn, config, max_epochs: int = MAX_EPOCHS):
+    """Run epochs until the control law holds, a move is rejected, a
+    rung repeats, or the epoch budget runs out.
 
-    name = "fixed"
-
-    def make_controller(self, config):
-        return None
-
-    def converge(self, run_fn, config):
-        return None
-
-
-class AdaptiveEpochPolicy:
-    """Whole-run hill climb over the ladder with an IPC adoption guard."""
-
-    name = "adaptive-epoch"
-
-    def __init__(self, max_epochs: int = MAX_EPOCHS):
-        self.max_epochs = max_epochs
-
-    def make_controller(self, config):
-        return None
-
-    def converge(self, run_fn, config):
-        """Run epochs until the control law holds, a move is rejected, a
-        rung repeats, or the epoch budget runs out.
-
-        ``run_fn(config) -> PipelineResult`` executes one plain fixed
-        run (memoized by the harness, so epoch 0 shares the ordinary
-        results cache).  Returns ``(result, summary)`` where ``result``
-        is the best epoch's result tagged with the policy summary.
-        """
-        level = start_level(config)
-        point = (config.trigger_occupancy_fraction, config.chaining)
-        best = run_fn(config)
-        baseline_ipc = best.ipc
-        trajectory = [f"L{level}"]
-        seen = {level}
-        epochs = 1
-        reason = "hold"
-        while epochs <= self.max_epochs:
-            fills = best.memory["fills"]["pthread"]
-            signals = PolicySignals(fills=fills["fills"],
-                                    timely=fills["timely"],
-                                    late=fills["late"],
-                                    unused=fills["unused"],
-                                    redundant=fills["redundant"])
-            nxt, reason = propose(level, signals)
-            if nxt == level:
-                break
-            if nxt in seen:
-                reason = "revisit"
-                break
-            seen.add(nxt)
-            frac, chain = LEVELS[nxt]
-            cand_cfg = dataclasses.replace(
-                config, trigger_occupancy_fraction=frac, chaining=chain)
-            cand = run_fn(cand_cfg)
-            epochs += 1
-            if cand.ipc >= best.ipc:
-                best, level, point = cand, nxt, (frac, chain)
-                trajectory.append(f"L{level}")
-            else:
-                reason = "rejected:ipc-drop"
-                break
-        frac, chain = point
-        summary = {
-            "name": self.name,
-            "epochs": epochs,
-            "final_level": level,
-            "final_fraction": frac,
-            "final_chaining": chain,
-            "baseline_ipc": baseline_ipc,
-            "final_ipc": best.ipc,
-            "trajectory": "->".join(trajectory),
-            "stop_reason": reason,
-            "label": (f"adaptive-epoch level=L{level} frac={frac:g} "
-                      f"chain={'on' if chain else 'off'} epochs={epochs} "
-                      f"path={'->'.join(trajectory)}"),
-        }
-        return dataclasses.replace(best, policy=summary), summary
-
-
-class AdaptivePhasePolicy:
-    """In-run windowed adaptation via :class:`PhaseController`."""
-
-    name = "adaptive-phase"
-
-    def __init__(self, interval: int = 1000):
-        self.interval = interval
-
-    def make_controller(self, config):
-        if not config.spear_enabled:
-            return None
-        return PhaseController(config, interval=self.interval)
-
-    def converge(self, run_fn, config):
-        return None
-
-
-def make_policy(name: str | None):
-    """Instantiate a policy by registry name (None means the default)."""
-    name = resolve_policy(name)
-    if name == "adaptive-epoch":
-        return AdaptiveEpochPolicy()
-    if name == "adaptive-phase":
-        return AdaptivePhasePolicy()
-    return FixedPolicy()
+    ``run_fn(config) -> PipelineResult`` executes one plain fixed run
+    (memoized by the harness, so epoch 0 shares the ordinary results
+    cache).  Returns ``(result, summary)`` where ``result`` is the best
+    epoch's result tagged with the policy summary.
+    """
+    level = start_level(config)
+    point = (config.trigger_occupancy_fraction, config.chaining)
+    best = run_fn(config)
+    baseline_ipc = best.ipc
+    trajectory = [f"L{level}"]
+    seen = {level}
+    epochs = 1
+    reason = "hold"
+    while epochs <= max_epochs:
+        fills = best.memory["fills"]["pthread"]
+        signals = PolicySignals(fills=fills["fills"],
+                                timely=fills["timely"],
+                                late=fills["late"],
+                                unused=fills["unused"],
+                                redundant=fills["redundant"])
+        nxt, reason = propose(level, signals)
+        if nxt == level:
+            break
+        if nxt in seen:
+            reason = "revisit"
+            break
+        seen.add(nxt)
+        frac, chain = LEVELS[nxt]
+        cand_cfg = dataclasses.replace(
+            config, trigger_occupancy_fraction=frac, chaining=chain)
+        cand = run_fn(cand_cfg)
+        epochs += 1
+        if cand.ipc >= best.ipc:
+            best, level, point = cand, nxt, (frac, chain)
+            trajectory.append(f"L{level}")
+        else:
+            reason = "rejected:ipc-drop"
+            break
+    frac, chain = point
+    summary = {
+        "name": "adaptive-epoch",
+        "epochs": epochs,
+        "final_level": level,
+        "final_fraction": frac,
+        "final_chaining": chain,
+        "baseline_ipc": baseline_ipc,
+        "final_ipc": best.ipc,
+        "trajectory": "->".join(trajectory),
+        "stop_reason": reason,
+        "label": (f"adaptive-epoch level=L{level} frac={frac:g} "
+                  f"chain={'on' if chain else 'off'} epochs={epochs} "
+                  f"path={'->'.join(trajectory)}"),
+    }
+    return dataclasses.replace(best, policy=summary), summary

@@ -6,9 +6,9 @@ chaining as a related-work aside.  PR 3's fill-attribution counters
 trades off — lead time against wasted pre-execution — so this module
 closes the loop: a small *ladder* of operating points ordered by
 aggressiveness, and a pure decision function :func:`propose` that maps
-observed timeliness onto a ladder move.  Everything stateful (epoch
-convergence, the in-run phase controller) builds on these two pieces;
-see ``docs/adaptive-policy.md`` for the full specification.
+observed timeliness onto a ladder move.  The stateful epoch convergence
+(:mod:`~repro.policy.adaptive`) builds on these two pieces; see
+``docs/adaptive-policy.md`` for the full specification.
 
 Everything here is deterministic and side-effect-free: the same signals
 always produce the same proposal, which is what makes adaptive runs
@@ -18,7 +18,6 @@ byte-reproducible across job counts, backends and crash/resume.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
 
 # ---------------------------------------------------------------------------
 # Policy names
@@ -29,7 +28,7 @@ from typing import Protocol, runtime_checkable
 DEFAULT_POLICY = "fixed"
 
 #: Names accepted wherever a policy knob appears (CLI, runner, cells).
-POLICIES = ("fixed", "adaptive-epoch", "adaptive-phase")
+POLICIES = ("fixed", "adaptive-epoch")
 
 
 def resolve_policy(name: str | None) -> str:
@@ -82,22 +81,19 @@ def start_level(config) -> int:
 # Feedback signals
 # ---------------------------------------------------------------------------
 
-#: Minimum p-thread fills a window/epoch must carry before the counters
-#: are considered signal rather than noise.  Below this the controller
-#: holds — the "balanced counters fall back to fixed behaviour" rule.
+#: Minimum p-thread fills an epoch must carry before the counters are
+#: considered signal rather than noise.  Below this the policy holds —
+#: the "balanced counters fall back to fixed behaviour" rule.
 MIN_FILLS = 8
 
 
 @dataclass(frozen=True)
 class PolicySignals:
-    """One window's worth of p-thread fill attribution (PR 3 counters).
+    """One epoch's worth of p-thread fill attribution.
 
     ``timely`` fills fully hid their latency, ``late`` fills only
     shortened a miss, ``unused`` fills were evicted untouched and
     ``redundant`` attempts targeted already-resident/in-flight blocks.
-    Mid-run windows under-count ``unused`` (it resolves at eviction);
-    the control law only ever compares it against timely+late, so a
-    late-resolving eviction can delay but never invert a de-escalation.
     """
 
     fills: int = 0
@@ -106,29 +102,15 @@ class PolicySignals:
     unused: int = 0
     redundant: int = 0
 
-    @classmethod
-    def from_fill_stats(cls, fs) -> "PolicySignals":
-        """Snapshot a live ``FillStats`` counter block."""
-        return cls(fills=fs.fills, timely=fs.timely, late=fs.late,
-                   unused=fs.unused, redundant=fs.redundant)
-
-    def window_since(self, prev: "PolicySignals") -> "PolicySignals":
-        """The delta accumulated since an earlier snapshot."""
-        return PolicySignals(fills=self.fills - prev.fills,
-                             timely=self.timely - prev.timely,
-                             late=self.late - prev.late,
-                             unused=self.unused - prev.unused,
-                             redundant=self.redundant - prev.redundant)
-
 
 def propose(level: int, signals: PolicySignals) -> tuple[int, str]:
-    """The control law: map one window's signals to a ladder move.
+    """The control law: map one epoch's signals to a ladder move.
 
     Returns ``(next_level, reason)``.  The rules, in priority order:
 
     * **hold** when ``fills < MIN_FILLS`` — too little signal to act on;
-      the controller stays at the config's own operating point, i.e.
-      fixed behaviour (the no-regression fallback).
+      the policy stays at the config's own operating point, i.e. fixed
+      behaviour (the no-regression fallback).
     * **de-escalate** when ``unused > timely + late`` — most speculative
       fills were never touched, so pre-execution is wasting bandwidth
       and cache space; back down one rung.
@@ -144,35 +126,3 @@ def propose(level: int, signals: PolicySignals) -> tuple[int, str]:
     if signals.late > signals.timely:
         return min(level + 1, len(LEVELS) - 1), "escalate:late-heavy"
     return level, "hold:balanced"
-
-
-# ---------------------------------------------------------------------------
-# The protocol every policy implements
-# ---------------------------------------------------------------------------
-
-@runtime_checkable
-class PolicyProtocol(Protocol):
-    """What the harness needs from a trigger policy.
-
-    Policies act at one of two layers, so the protocol has one hook per
-    layer and every implementation answers both (with ``None`` for the
-    layer it does not use):
-
-    * :meth:`make_controller` returns an in-run controller to attach to
-      the simulator (``policy=`` on the kernel constructor), or ``None``
-      when the run should execute exactly as a plain fixed run.
-    * :meth:`converge` drives a harness-level epoch loop via ``run_fn``
-      (a callable mapping a :class:`~repro.core.MachineConfig` to a
-      :class:`~repro.pipeline.PipelineResult`), returning the final
-      ``(result, summary)`` — or ``None`` when the policy does not
-      operate at that layer.
-    """
-
-    #: registry name of the policy
-    name: str
-
-    def make_controller(self, config):
-        """In-run phase controller for ``config``, or None."""
-
-    def converge(self, run_fn, config):
-        """Epoch-converged ``(result, summary)`` via ``run_fn``, or None."""

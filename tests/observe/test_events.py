@@ -30,8 +30,7 @@ class TestTraceEvent:
             '"info":"x"}'
 
     def test_kind_and_mode_vocabulary(self):
-        assert len(EVENT_KINDS) == len(set(EVENT_KINDS)) == 11
-        assert "policy-decision" in EVENT_KINDS
+        assert len(EVENT_KINDS) == len(set(EVENT_KINDS)) == 10
         assert MODE_NAMES == ("IDLE", "DRAIN", "COPY", "ACTIVE")
 
 

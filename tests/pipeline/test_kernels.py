@@ -1,9 +1,8 @@
-"""The timing-kernel interface: registry, protocol, step/run parity.
+"""The timing-kernel registry and the fast-forward diagnostics.
 
 Backend *equivalence* (byte-identical results vs reference) lives in
-``tests/properties/test_backends.py``; this module covers the interface
-itself — registry lookups, the ``TimingKernel`` protocol surface, the
-single-cycle ``step`` driver, event horizons and mid-run snapshots.
+``tests/properties/test_backends.py``; this module covers the registry
+lookups and what the fast-forward kernel keeps out of its results.
 """
 
 from __future__ import annotations
@@ -17,8 +16,8 @@ from repro.core.configs import BASELINE, SPEAR_128
 from repro.functional import run_program
 from repro.memory import MemoryHierarchy
 from repro.pipeline import (DEFAULT_BACKEND, FastForwardSimulator,
-                            KERNEL_BACKENDS, KERNELS, TimingKernel,
-                            TimingSimulator, make_simulator, resolve_kernel)
+                            KERNEL_BACKENDS, KERNELS, TimingSimulator,
+                            make_simulator, resolve_kernel)
 
 from ..conftest import build_gather_program, gather_load_pcs
 
@@ -55,77 +54,8 @@ class TestRegistry:
         with pytest.raises(ValueError, match="warp-drive"):
             make_simulator("warp-drive", None, BASELINE)
 
-    def test_every_backend_satisfies_the_protocol(self):
-        trace, table = gather_cell(20)
-        for backend in KERNEL_BACKENDS:
-            sim = build(backend, trace, SPEAR_128, table)
-            assert isinstance(sim, TimingKernel)
-            assert sim.backend == backend
 
-
-class TestStepDriver:
-    @pytest.mark.parametrize("backend", KERNEL_BACKENDS)
-    def test_step_loop_reaches_run_result(self, backend):
-        trace, table = gather_cell()
-        stepped = build(backend, trace, SPEAR_128, table)
-        while stepped.step():
-            pass
-        ran = build(backend, trace, SPEAR_128, table)
-        assert (pickle.dumps(stepped.run(), pickle.HIGHEST_PROTOCOL)
-                == pickle.dumps(ran.run(), pickle.HIGHEST_PROTOCOL))
-
-    @pytest.mark.parametrize("backend", KERNEL_BACKENDS)
-    def test_step_advances_one_cycle(self, backend):
-        trace, table = gather_cell()
-        sim = build(backend, trace, SPEAR_128, table)
-        for _ in range(25):
-            before = sim._cycle
-            if not sim.step():
-                break
-            assert sim._cycle == before + 1
-
-    def test_step_after_completion_is_a_noop(self):
-        trace, table = gather_cell(30)
-        sim = build("reference", trace, SPEAR_128, table)
-        while sim.step():
-            pass
-        cycle = sim._cycle
-        assert sim.step() is False
-        assert sim._cycle == cycle
-
-
-class TestHorizonAndSnapshot:
-    def test_horizon_defaults_to_the_deadlock_bound(self):
-        trace, table = gather_cell(30)
-        sim = build("reference", trace, SPEAR_128, table)
-        assert sim.next_event_horizon() == SPEAR_128.max_cycles
-
-    def test_horizon_tracks_pending_completions(self):
-        trace, table = gather_cell()
-        sim = build("reference", trace, SPEAR_128, table)
-        for _ in range(200):
-            sim.step()
-            if sim._events:
-                assert sim.next_event_horizon() == min(sim._events)
-                break
-        else:
-            pytest.fail("no completion event within 200 cycles")
-
-    def test_snapshot_mid_run_and_at_end(self):
-        trace, table = gather_cell()
-        sim = build("fast-forward", trace, SPEAR_128, table)
-        for _ in range(50):
-            sim.step()
-        mid = sim.stats_snapshot()
-        assert mid["backend"] == "fast-forward"
-        assert mid["cycles"] == 50
-        assert 0 <= mid["committed"] <= len(trace)
-        assert mid["ipc"] == mid["committed"] / 50
-        result = sim.run()
-        end = sim.stats_snapshot()
-        assert end["committed"] == result.stats.committed == len(trace)
-        assert end["cycles"] == result.stats.cycles
-
+class TestFastForward:
     def test_fast_forward_diagnostics_stay_out_of_results(self):
         """The jump counters are observability only: the result object
         must not carry them (byte identity with reference)."""

@@ -7,8 +7,7 @@ or adding a class attribute carelessly) silently costs memory and speed.
 
 import pytest
 
-from repro.branch.predictors import (AlwaysTakenPredictor, BimodalPredictor,
-                                     GsharePredictor, StaticBTFNPredictor)
+from repro.branch.predictors import BimodalPredictor
 from repro.core.configs import BASELINE
 from repro.memory.cache import Cache, CacheConfig
 from repro.memory.hierarchy import MemoryHierarchy
@@ -26,9 +25,6 @@ def make_instances():
         cache,
         MemoryHierarchy(),
         BimodalPredictor(),
-        GsharePredictor(),
-        AlwaysTakenPredictor(),
-        StaticBTFNPredictor({}),
     ]
 
 

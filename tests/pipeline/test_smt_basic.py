@@ -6,7 +6,8 @@ from repro.core import BASELINE, MachineConfig
 from repro.functional import Trace, TraceEntry
 from repro.isa import OpClass
 from repro.memory import LatencyConfig, MemoryHierarchy
-from repro.pipeline import TimingSimulator, simulate
+from repro.pipeline import (KERNEL_BACKENDS, TimingSimulator, make_simulator,
+                            simulate)
 
 INT_ALU = int(OpClass.INT_ALU)
 LOAD = int(OpClass.LOAD)
@@ -186,6 +187,21 @@ class TestGuards:
         cfg = MachineConfig(name="tiny-budget", max_cycles=5)
         with pytest.raises(RuntimeError, match="max_cycles"):
             run([load(pc=0, addr=0x1000, dst=1)], cfg)
+
+    @pytest.mark.parametrize("backend", KERNEL_BACKENDS)
+    def test_max_cycles_raises_at_bound(self, backend):
+        # The load's DRAM fill completes far past the budget, so the
+        # fast-forward kernel's horizon lands on max_cycles itself: it
+        # must stop and raise there, never skip past the bound.
+        cfg = MachineConfig(name="tiny-budget", max_cycles=5)
+        sim = make_simulator(backend,
+                             Trace([load(pc=0, addr=0x1000, dst=1)],
+                                   program_name="synth"), cfg)
+        with pytest.raises(RuntimeError, match="max_cycles"):
+            sim.run()
+        assert sim._cycle == cfg.max_cycles
+        if backend == "fast-forward":
+            assert sim.ff_jumps > 0    # it reached the bound by a jump
 
     def test_result_summary(self, gather_trace):
         res = simulate(gather_trace, BASELINE)

@@ -13,7 +13,7 @@ from repro.core.configs import BASELINE, SPEAR_128
 from repro.harness import ExperimentRunner, ablate_policy_cells
 from repro.harness.journal import cell_key
 from repro.memory.hierarchy import FIG9_LATENCIES
-from repro.observe.events import POLICY
+from repro.pipeline import KERNEL_BACKENDS
 
 
 @pytest.fixture(scope="module")
@@ -40,19 +40,21 @@ def test_effective_policy_resolution(runner):
                                    SPEAR_128) == "adaptive-epoch"
     # baselines have no trigger to steer: always fixed
     assert runner.effective_policy("adaptive-epoch", BASELINE) == "fixed"
-    assert runner.effective_policy("adaptive-phase", BASELINE) == "fixed"
     with pytest.raises(ValueError):
         runner.effective_policy("bogus", SPEAR_128)
+    with pytest.raises(ValueError,
+                       match="'adaptive-phase'; known: fixed, adaptive-epoch"):
+        ExperimentRunner(policy="adaptive-phase")
 
 
 def test_policy_memo_keys_are_separate(runner):
     runner.run("ll4", SPEAR_128)
     assert runner.has_result("ll4", SPEAR_128)
     assert runner.has_result("ll4", SPEAR_128, policy="fixed")
-    assert not runner.has_result("ll4", SPEAR_128, policy="adaptive-phase")
+    assert not runner.has_result("ll4", SPEAR_128, policy="adaptive-epoch")
 
-    runner.run("ll4", SPEAR_128, policy="adaptive-phase")
-    assert runner.has_result("ll4", SPEAR_128, policy="adaptive-phase")
+    runner.run("ll4", SPEAR_128, policy="adaptive-epoch")
+    assert runner.has_result("ll4", SPEAR_128, policy="adaptive-epoch")
     # the fixed entry is untouched
     assert runner.has_result("ll4", SPEAR_128, policy="fixed")
 
@@ -84,36 +86,14 @@ def test_epoch_run_attaches_summary_and_never_loses_to_fixed(runner):
     assert res.summary()["policy"] == pol["label"]
 
 
-# ---------------------------------------------------------------------------
-# adaptive-phase through the runner
-# ---------------------------------------------------------------------------
-
-def test_phase_run_attaches_summary(runner):
-    res = runner.run("mcf", SPEAR_128, policy="adaptive-phase")
-    pol = res.policy
-    assert pol["name"] == "adaptive-phase"
-    assert res.summary()["policy"] == pol["label"]
-    # plain runs stay unsampled; the decision series rides sampled/traced
-    # runs (see test_traced_phase_run_emits_policy_events)
-    assert res.timeline is None
-
-
-def test_phase_run_is_deterministic(runner):
-    a = runner.run("mcf", SPEAR_128, policy="adaptive-phase")
-    fresh = ExperimentRunner(instruction_scale=0.05)
-    b = fresh.run("mcf", SPEAR_128, policy="adaptive-phase")
-    assert _digest(a) == _digest(b)
-    assert a.policy == b.policy
-
-
-def test_phase_run_backends_byte_identical(runner):
-    """The fast-forward kernel clamps skips to decision boundaries, so it
-    must reproduce the reference decision sequence exactly."""
-    for name in ("ll4", "mcf"):
+def test_epoch_run_backends_byte_identical(runner):
+    """Every epoch is a plain run, so the fast-forward kernel must
+    reproduce the reference epoch trajectory and result exactly."""
+    for name in ("ll4", "mcf", "pointer"):
         ref = runner.run(name, SPEAR_128, backend="reference",
-                         policy="adaptive-phase")
+                         policy="adaptive-epoch")
         ff = runner.run(name, SPEAR_128, backend="fast-forward",
-                        policy="adaptive-phase")
+                        policy="adaptive-epoch")
         assert _digest(ref) == _digest(ff), name
         assert ref.policy == ff.policy, name
 
@@ -122,27 +102,26 @@ def test_phase_run_backends_byte_identical(runner):
 # Traced runs
 # ---------------------------------------------------------------------------
 
-def test_traced_phase_run_emits_policy_events(runner):
-    tr = runner.run_traced("mcf", SPEAR_128, capacity=None,
-                           policy="adaptive-phase")
-    events = [e for e in tr.events if e.kind == POLICY]
-    series = tr.result.timeline["policy"]
-    assert len(events) == len(series) > 0
-    assert series[0]["action"] == "start"
-    for ev, dec in zip(events, series):
-        assert (ev.thread, ev.pc, ev.trace_idx) == (-1, -1, -1)
-        assert ev.cycle == dec["cycle"]
-        assert ev.info.startswith(f"{dec['action']} level=L{dec['level']}")
+@pytest.mark.parametrize("backend", KERNEL_BACKENDS)
+def test_traced_epoch_run_matches_plain_run(runner, backend):
+    """A traced adaptive-epoch run traces the converged operating point:
+    same stats and the same policy summary as the plain epoch result.
+    ``pointer`` converges off the paper's rung, so the traced run must
+    really use the converged point, not the configured one."""
+    res = runner.run("pointer", SPEAR_128, backend=backend,
+                     policy="adaptive-epoch")
+    assert "->" in res.policy["trajectory"]
+    tr = runner.run_traced("pointer", SPEAR_128, backend=backend,
+                           policy="adaptive-epoch")
+    assert tr.result.stats == res.stats
+    assert tr.result.memory == res.memory
+    assert tr.result.policy == res.policy
+    assert tr.result.summary() == res.summary()
 
-    pol = tr.result.policy
-    assert pol["trials"] == sum(d["action"] == "trial" for d in series)
-    assert pol["adopted"] == sum(d["action"] == "adopt" for d in series)
-    assert pol["reverted"] == sum(d["action"] == "revert" for d in series)
 
-
-def test_traced_fixed_run_has_no_policy_events(runner):
+def test_traced_fixed_run_carries_no_policy(runner):
     tr = runner.run_traced("ll4", SPEAR_128, capacity=None)
-    assert not any(e.kind == POLICY for e in tr.events)
+    assert tr.result.policy is None
     assert "policy" not in tr.result.timeline
 
 

@@ -52,6 +52,12 @@ class TestRun:
     def test_baseline_config(self, capsys):
         assert main(["run", "pointer", "--config", "baseline", *SCALE]) == 0
 
+    def test_unknown_policy(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "pointer", "--policy", "adaptive-phase", *SCALE])
+        assert exc.value.code == 2
+        assert "invalid choice: 'adaptive-phase'" in capsys.readouterr().err
+
 
 class TestCompare:
     def test_all_models(self, capsys):
