@@ -3,14 +3,18 @@
 Models one level of the paper's hierarchy (Table 2: L1D = 256 sets x 32 B
 blocks x 4-way; unified L2 = 1024 sets x 64 B x 4-way; both LRU).
 
-The cache stores only tags — this repository's timing model never needs
-cached *data* (values come from the oracle trace), so a tag store is exact
-for hit/miss behaviour while staying fast.
+The cache stores only block ids — this repository's timing model never
+needs cached *data* (values come from the oracle trace), so a tag store is
+exact for hit/miss behaviour while staying fast.  Each set is a plain list
+of its resident block ids in recency order, most recent first: a hit is a
+membership test plus a move to the front, a fill of a full set evicts the
+last element, and no way array, global clock or exception sits on the
+miss path.  Dirty blocks are kept in one set per cache.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 def _is_pow2(v: int) -> bool:
@@ -71,114 +75,119 @@ class Cache:
     """One cache level.
 
     ``probe``/``install`` are split so the hierarchy can model non-inclusive
-    fills; ``access`` is the common probe-then-fill path.
+    fills; ``access`` is the common probe-then-fill path.  ``hit``/``fill``
+    are the same operations keyed by a block id the caller already holds
+    (see :meth:`block_of`).
     """
 
-    __slots__ = ("config", "_block_bits", "_set_mask", "_tags", "_stamp",
-                 "_dirty", "_clock", "stats")
+    __slots__ = ("config", "_block_bits", "_set_mask", "_ways", "_sets",
+                 "_dirty", "stats")
 
     def __init__(self, config: CacheConfig):
         self.config = config
         self._block_bits = config.block_bits
         self._set_mask = config.set_mask
-        # Per-set way arrays.  Plain Python lists beat numpy for 4-way
-        # scans (no per-access array overhead).
-        self._tags: list[list[int]] = [[-1] * config.ways for _ in range(config.sets)]
-        self._stamp: list[list[int]] = [[0] * config.ways for _ in range(config.sets)]
-        self._dirty: list[list[bool]] = [[False] * config.ways for _ in range(config.sets)]
-        self._clock = 0
-        self.stats = CacheStats()
+        self._ways = config.ways
+        self.reset()
 
     def block_of(self, addr: int) -> int:
         """Global block id for an address."""
         return addr >> self._block_bits
 
     def reset(self) -> None:
-        cfg = self.config
-        self._tags = [[-1] * cfg.ways for _ in range(cfg.sets)]
-        self._stamp = [[0] * cfg.ways for _ in range(cfg.sets)]
-        self._dirty = [[False] * cfg.ways for _ in range(cfg.sets)]
-        self._clock = 0
+        #: per set: resident block ids, most recently used first
+        self._sets: list[list[int]] = [[] for _ in range(self.config.sets)]
+        #: resident blocks written since their fill
+        self._dirty: set[int] = set()
         self.stats = CacheStats()
 
     # -- core operations -----------------------------------------------------
 
+    def hit(self, block: int, is_write: bool = False) -> bool:
+        """Counted lookup of ``block``; a hit becomes most recently used."""
+        stats = self.stats
+        stats.accesses += 1
+        lines = self._sets[block & self._set_mask]
+        if block in lines:
+            stats.hits += 1
+            if lines[0] != block:
+                lines.remove(block)
+                lines.insert(0, block)
+            if is_write:
+                self._dirty.add(block)
+            return True
+        stats.misses += 1
+        return False
+
+    def fill(self, block: int, is_write: bool = False) -> int:
+        """Make ``block`` resident and most recently used, evicting the
+        least recently used block of a full set.
+
+        Returns the evicted block id, or -1 when nothing was evicted.
+        """
+        lines = self._sets[block & self._set_mask]
+        if block in lines:               # already present (racing install)
+            if lines[0] != block:
+                lines.remove(block)
+                lines.insert(0, block)
+            if is_write:
+                self._dirty.add(block)
+            return -1
+        evicted = -1
+        if len(lines) == self._ways:
+            evicted = lines.pop()
+            stats = self.stats
+            stats.evictions += 1
+            dirty = self._dirty
+            if evicted in dirty:
+                dirty.remove(evicted)
+                stats.writebacks += 1
+        lines.insert(0, block)
+        if is_write:
+            self._dirty.add(block)
+        return evicted
+
     def probe(self, addr: int, *, is_write: bool = False,
               update_lru: bool = True, count: bool = True) -> bool:
-        """Check for presence; touches LRU on hit.  Returns hit/miss.
-
-        The way scan uses ``list.index`` — a C-level search that beats a
-        Python ``enumerate`` loop for the 4-way sets of Table 2.
-        """
+        """Check for presence; touches LRU on hit.  Returns hit/miss."""
         block = addr >> self._block_bits
-        set_idx = block & self._set_mask
-        tags = self._tags[set_idx]
-        stats = self.stats
+        if count and update_lru:
+            return self.hit(block, is_write)
+        lines = self._sets[block & self._set_mask]
+        present = block in lines
         if count:
+            stats = self.stats
             stats.accesses += 1
-        try:
-            way = tags.index(block)
-        except ValueError:
-            if count:
+            if present:
+                stats.hits += 1
+            else:
                 stats.misses += 1
-            return False
-        if count:
-            stats.hits += 1
-        if update_lru:
-            self._clock += 1
-            self._stamp[set_idx][way] = self._clock
-        if is_write:
-            self._dirty[set_idx][way] = True
-        return True
+        if present:
+            if update_lru and lines[0] != block:
+                lines.remove(block)
+                lines.insert(0, block)
+            if is_write:
+                self._dirty.add(block)
+        return present
 
     def install(self, addr: int, *, is_write: bool = False) -> int:
-        """Fill the block, evicting LRU if needed.
-
-        Returns the evicted block id, or -1 when an invalid way was used.
-        """
-        block = addr >> self._block_bits
-        set_idx = block & self._set_mask
-        tags = self._tags[set_idx]
-        stamps = self._stamp[set_idx]
-        dirty = self._dirty[set_idx]
-        self._clock += 1
-
-        try:
-            way = tags.index(block)  # already present (racing install)
-        except ValueError:
-            pass
-        else:
-            stamps[way] = self._clock
-            if is_write:
-                dirty[way] = True
-            return -1
-        try:
-            victim = tags.index(-1)
-        except ValueError:
-            victim = min(range(len(stamps)), key=stamps.__getitem__)
-
-        evicted = tags[victim]
-        if evicted != -1:
-            self.stats.evictions += 1
-            if dirty[victim]:
-                self.stats.writebacks += 1
-        tags[victim] = block
-        stamps[victim] = self._clock
-        dirty[victim] = is_write
-        return evicted
+        """Fill the block at ``addr``; see :meth:`fill`."""
+        return self.fill(addr >> self._block_bits, is_write)
 
     def access(self, addr: int, *, is_write: bool = False) -> bool:
         """Probe and fill on miss.  Returns True on hit."""
-        if self.probe(addr, is_write=is_write):
+        block = addr >> self._block_bits
+        if self.hit(block, is_write):
             return True
-        self.install(addr, is_write=is_write)
+        self.fill(block, is_write)
         return False
 
     def contains(self, addr: int) -> bool:
         """Non-destructive presence check (no LRU update, no stats)."""
-        return self.probe(addr, update_lru=False, count=False)
+        block = addr >> self._block_bits
+        return block in self._sets[block & self._set_mask]
 
     def utilization(self) -> float:
         """Fraction of ways currently holding a valid block."""
-        valid = sum(1 for s in self._tags for t in s if t != -1)
+        valid = sum(len(lines) for lines in self._sets)
         return valid / (self.config.sets * self.config.ways)

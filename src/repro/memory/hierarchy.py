@@ -34,7 +34,7 @@ all-timely fills (real latency hiding) or mostly-late ones (marginal).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .cache import Cache, CacheConfig
 
@@ -186,7 +186,8 @@ class MemoryHierarchy:
         ts = self.thread_stats[thread]
         ts.accesses += 1
         lat = self.latencies
-        block = self.l1.block_of(addr)
+        l1 = self.l1
+        block = l1.block_of(addr)
 
         ready = self._pending.get(block)
         if ready is not None:
@@ -197,7 +198,7 @@ class MemoryHierarchy:
                 latency = ready - now
                 ts.total_latency += latency
                 # Keep LRU warm; the block was already installed at fill start.
-                self.l1.probe(addr, is_write=is_write, count=False)
+                l1.probe(addr, is_write=is_write, count=False)
                 if thread:
                     # A p-thread access that would have started this very
                     # fill: the block is already on its way.
@@ -211,7 +212,7 @@ class MemoryHierarchy:
                 return latency
             del self._pending[block]
 
-        if self.l1.probe(addr, is_write=is_write):
+        if l1.hit(block, is_write):
             ts.l1_hits += 1
             ts.total_latency += lat.l1
             if thread:
@@ -231,7 +232,7 @@ class MemoryHierarchy:
         else:
             ts.l2_misses += 1
             latency = lat.memory
-        evicted = self.l1.install(addr, is_write=is_write)
+        evicted = l1.fill(block, is_write)
         owner = self._fill_owner
         if owner and evicted >= 0:
             self._resolve_eviction(evicted)

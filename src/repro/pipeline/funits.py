@@ -1,4 +1,4 @@
-"""Functional-unit pools and per-cycle structural-hazard accounting.
+"""Functional-unit pools: the per-cycle issue budget per unit kind.
 
 The paper's Table 2 machine has 4 integer ALUs + 1 integer MUL/DIV unit,
 4 FP ALUs + 1 FP MUL/DIV unit, and 2 memory ports.  In the dedicated-
@@ -42,31 +42,23 @@ FU_OF_CLASS: dict[int, int] = {
 }
 
 
-class FUPool:
-    """One thread-visible set of functional units."""
+#: :data:`FU_OF_CLASS` as a list indexed by op class (the issue stage's
+#: per-instruction lookup).
+FU_KIND_OF_CLASS: list[int] = [FU_OF_CLASS[c] for c in range(len(FU_OF_CLASS))]
 
-    __slots__ = ("config", "_capacity", "_avail", "conflicts")
+
+class FUPool:
+    """One thread-visible set of functional units.
+
+    ``avail`` is this cycle's remaining issue budget per :class:`FUKind`;
+    the issue stage refills it from ``capacity`` at the start of every
+    issue cycle and claims a unit by decrementing its entry.
+    """
+
+    __slots__ = ("config", "capacity", "avail")
 
     def __init__(self, config: FUConfig):
         self.config = config
-        self._capacity = [config.int_alu, config.int_muldiv, config.fp_alu,
-                          config.fp_muldiv, config.mem_ports]
-        self._avail = list(self._capacity)
-        #: Structural-hazard counters per unit kind (diagnostics).
-        self.conflicts = [0] * FUKind.N_KINDS
-
-    def begin_cycle(self) -> None:
-        """Refresh per-cycle availability (in place: no per-cycle list)."""
-        self._avail[:] = self._capacity
-
-    def take(self, op_class: int) -> bool:
-        """Try to claim a unit for this op class this cycle."""
-        kind = FU_OF_CLASS[op_class]
-        if self._avail[kind] > 0:
-            self._avail[kind] -= 1
-            return True
-        self.conflicts[kind] += 1
-        return False
-
-    def available(self, op_class: int) -> int:
-        return self._avail[FU_OF_CLASS[op_class]]
+        self.capacity = (config.int_alu, config.int_muldiv, config.fp_alu,
+                         config.fp_muldiv, config.mem_ports)
+        self.avail = list(self.capacity)

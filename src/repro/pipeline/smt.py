@@ -41,7 +41,7 @@ from ..observe.events import (COMMIT, COMPLETE, DECODE, EXTRACT, FETCH, FILL,
 from ..observe.sampler import IntervalSampler
 from ..observe.sinks import TraceSink
 from .dyninst import DynInstr, MAIN_THREAD, P_THREAD
-from .funits import FUPool
+from .funits import FU_KIND_OF_CLASS, FUPool
 from .ifq import IFQSlot, InstructionFetchQueue
 from .stats import PipelineResult, PipelineStats
 
@@ -216,6 +216,8 @@ class TimingSimulator:
         decode_width = cfg.decode_width
         fetch_width = cfg.fetch_width
         ruu_size = cfg.ruu_size
+        commit_width = cfg.commit_width
+        drain_livein = cfg.drain_policy == "livein"
         wp_mode = cfg.wrong_path
         events = self._events
         rob = self._main_rob
@@ -267,11 +269,41 @@ class TimingSimulator:
             finished = events.pop(cycle, None)
             if finished is not None:
                 self._complete(finished)
+
+            # ---- commit (inlined) ----------------------------------------
             if rob and rob[0].done:
-                self._commit()
+                budget = commit_width
+                committed = self._committed
+                while budget and rob and rob[0].done:
+                    instr = rob.popleft()
+                    e = instr.entry
+                    if trace_on:
+                        tracer.emit(TraceEvent(cycle, COMMIT, MAIN_THREAD,
+                                               e.pc, instr.trace_idx))
+                    if e.dst >= 0 and last_writer.get(e.dst) is instr:
+                        del last_writer[e.dst]
+                    if e.is_store:
+                        w = e.addr >> 3
+                        if store_map.get(w) is instr:
+                            del store_map[w]
+                    committed += 1
+                    budget -= 1
+                self._committed = committed
+
             mode = self._mode
             if mode != _IDLE:
-                self._spear_mode_tick()
+                if mode == _DRAIN and drain_livein:
+                    # Inlined live-in drain wait: the mode tick is only
+                    # needed once every live-in producer has completed.
+                    producers = self._drain_producers
+                    while producers and producers[-1].done:
+                        producers.pop()
+                    if producers:
+                        sstats.drain_wait_cycles += 1
+                    else:
+                        self._spear_mode_tick()
+                else:
+                    self._spear_mode_tick()
                 mode = self._mode
             elif spear and marked_queue and (chaining
                                              or len(ifq_slots) >= trigger_occ):
@@ -357,7 +389,8 @@ class TimingSimulator:
                             break
                         ifq.push_bubble()
                         stats.wrong_path_fetched += 1
-                elif wp_mode == "reconverge":
+                elif wp_mode == "reconverge" and len(ifq_slots) < ifq_size:
+                    # (A full IFQ leaves the wrong-path fetch nothing to do.)
                     self._fetch_wrong_path_reconvergent()
             elif cycle < self._fetch_resume_cycle:
                 stats.fetch_stall_mispredict += 1
@@ -530,32 +563,6 @@ class TimingSimulator:
                     self._barrier_seq = -1
                 else:
                     self.stats.wrong_path_flushed += self.ifq.flush_bubbles()
-
-    # ------------------------------------------------------------------
-    # Commit
-    # ------------------------------------------------------------------
-
-    def _commit(self) -> None:
-        rob = self._main_rob
-        budget = self.config.commit_width
-        last_writer = self._last_writer
-        store_map = self._store_map
-        tracer = self._tracer
-        cycle = self._cycle
-        while budget and rob and rob[0].done:
-            instr = rob.popleft()
-            e = instr.entry
-            if tracer is not None:
-                tracer.emit(TraceEvent(cycle, COMMIT, MAIN_THREAD, e.pc,
-                                       instr.trace_idx))
-            if e.dst >= 0 and last_writer.get(e.dst) is instr:
-                del last_writer[e.dst]
-            if e.is_store:
-                w = e.addr >> 3
-                if store_map.get(w) is instr:
-                    del store_map[w]
-            self._committed += 1
-            budget -= 1
 
     # ------------------------------------------------------------------
     # SPEAR mode state machine
@@ -746,9 +753,9 @@ class TimingSimulator:
         cfg = self.config
         fu_main = self._fu_main
         fu_pt = self._fu_pt
-        fu_main.begin_cycle()
+        fu_main.avail[:] = fu_main.capacity
         if fu_pt is not fu_main:
-            fu_pt.begin_cycle()
+            fu_pt.avail[:] = fu_pt.capacity
 
         budget = cfg.issue_width
         # Dedicated-FU models give the p-thread its own issue path (the
@@ -757,47 +764,52 @@ class TimingSimulator:
 
         issued_by_thread = self._issued_by_thread
         if self._pt_ready and cfg.pthread_priority:
-            used = self._issue_from(self._pt_ready, fu_pt, pt_budget,
-                                    decode_before=self._cycle)
+            used = self._issue_from(self._pt_ready, fu_pt.avail, pt_budget)
             issued_by_thread[P_THREAD] += used
             if not cfg.separate_fu:
                 budget -= used
         if budget > 0 and self._main_ready:
             issued_by_thread[MAIN_THREAD] += self._issue_from(
-                self._main_ready, fu_main, budget, decode_before=self._cycle)
+                self._main_ready, fu_main.avail, budget)
         if self._pt_ready and not cfg.pthread_priority and budget > 0:
             # Ablation path: p-thread competes after the main thread.
             issued_by_thread[P_THREAD] += self._issue_from(
-                self._pt_ready, fu_pt, pt_budget, decode_before=self._cycle)
+                self._pt_ready, fu_pt.avail, pt_budget)
 
-    def _issue_from(self, ready: list[DynInstr], pool: FUPool, budget: int,
-                    decode_before: int) -> int:
-        """Issue up to ``budget`` ready instructions; returns count issued."""
+    def _issue_from(self, ready: list[DynInstr], avail: list[int],
+                    budget: int) -> int:
+        """Issue up to ``budget`` ready instructions, claiming units from
+        the availability vector ``avail``; returns count issued.
+
+        Instructions that stay behind are compacted to the front of
+        ``ready`` in place, keeping their order.
+        """
         if budget <= 0 or not ready:
             return 0
         issued = 0
-        leftovers: list[DynInstr] = []
+        conflicts = 0
+        keep = 0
         events = self._events
         cycle = self._cycle
         mem = self.mem
-        stats = self.stats
-        take = pool.take
+        fu_kind = FU_KIND_OF_CLASS
         prefetch_active = self._prefetch_active
         tracer = self._tracer
         trace_on = tracer is not None
-        for idx, instr in enumerate(ready):
-            if issued >= budget:
-                leftovers.extend(ready[idx:])
-                break
+        for instr in ready:
             # Instructions decoded this very cycle issue next cycle.
-            if instr.decode_cycle >= decode_before:
-                leftovers.append(instr)
+            if instr.decode_cycle >= cycle:
+                ready[keep] = instr
+                keep += 1
                 continue
             e = instr.entry
-            if not take(e.op_class):
-                stats.issue_fu_conflicts += 1
-                leftovers.append(instr)
+            kind = fu_kind[e.op_class]
+            if not avail[kind]:
+                conflicts += 1
+                ready[keep] = instr
+                keep += 1
                 continue
+            avail[kind] -= 1
             if e.is_load:
                 lat = mem.access(e.addr, thread=instr.thread, now=cycle)
                 comp = cycle + (lat if lat > 1 else 1)
@@ -837,8 +849,14 @@ class TimingSimulator:
             else:
                 lst.append(instr)
             issued += 1
-        ready[:] = leftovers
+            if issued == budget:
+                break
+        # ready[:keep] stayed behind and ready[keep:keep + issued] issued;
+        # anything past that was never visited and stays as it is.
+        del ready[keep:keep + issued]
+        stats = self.stats
         stats.issued += issued
+        stats.issue_fu_conflicts += conflicts
         return issued
 
     # ------------------------------------------------------------------

@@ -26,23 +26,65 @@ class TestCacheProperties:
             c.access(a)
         assert c.stats.hits + c.stats.misses == c.stats.accesses
 
-    @given(st.lists(st.integers(0, 7), min_size=1, max_size=100))
-    @settings(max_examples=50, deadline=None)
-    def test_matches_reference_lru(self, block_ids):
-        """The cache agrees with a straightforward ordered-list LRU model."""
-        ways = 2
-        c = Cache(CacheConfig("p", sets=1, ways=ways, block_bytes=32))
-        reference: list[int] = []    # most recent last
-        for bid in block_ids:
-            a = bid * 32
-            hit = c.access(a)
-            ref_hit = bid in reference
-            assert hit == ref_hit
-            if ref_hit:
-                reference.remove(bid)
-            elif len(reference) == ways:
-                reference.pop(0)
-            reference.append(bid)
+    @given(st.lists(st.tuples(st.sampled_from(["access", "install",
+                                               "probe", "peek"]),
+                              st.integers(0, 7), st.booleans()),
+                    min_size=10, max_size=150))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_reference_lru(self, ops):
+        """The cache agrees with a straightforward ordered-list LRU model:
+        hit/miss, the evicted block ``install`` returns, dirty write-backs,
+        non-updating probes and re-installs of resident blocks, across
+        several sets."""
+        sets, ways = 2, 2
+        c = Cache(CacheConfig("p", sets=sets, ways=ways, block_bytes=32))
+        reference: list[list[int]] = [[] for _ in range(sets)]  # MRU last
+        dirty: set[int] = set()
+        writebacks = evictions = 0
+
+        def touch(lines, bid, write):
+            lines.remove(bid)
+            lines.append(bid)
+            if write:
+                dirty.add(bid)
+
+        for op, bid, write in ops:
+            a = bid * 32 + bid % 32          # any byte of block ``bid``
+            lines = reference[bid % sets]
+            present = bid in lines
+            if op == "peek":                 # probe without an LRU update
+                assert c.probe(a, is_write=write, update_lru=False) == present
+                if present and write:
+                    dirty.add(bid)
+            elif op == "probe":
+                assert c.probe(a, is_write=write) == present
+                if present:
+                    touch(lines, bid, write)
+            elif op == "access" and present:
+                assert c.access(a, is_write=write)
+                touch(lines, bid, write)
+            elif present:                    # install of a resident block
+                assert c.install(a, is_write=write) == -1
+                touch(lines, bid, write)
+            else:                            # fill, evicting the LRU block
+                victim = -1
+                if len(lines) == ways:
+                    victim = lines.pop(0)
+                    evictions += 1
+                    if victim in dirty:
+                        dirty.remove(victim)
+                        writebacks += 1
+                lines.append(bid)
+                if write:
+                    dirty.add(bid)
+                if op == "access":
+                    assert not c.access(a, is_write=write)
+                else:
+                    assert c.install(a, is_write=write) == victim
+            assert c.stats.evictions == evictions
+            assert c.stats.writebacks == writebacks
+        for b in range(8):
+            assert c.contains(b * 32) == (b in reference[b % sets])
 
     @given(st.lists(addr, min_size=1, max_size=100), st.integers(1, 4))
     @settings(max_examples=40, deadline=None)
