@@ -757,24 +757,27 @@ class TimingSimulator:
         if fu_pt is not fu_main:
             fu_pt.avail[:] = fu_pt.capacity
 
-        budget = cfg.issue_width
+        width = budget = cfg.issue_width
         # Dedicated-FU models give the p-thread its own issue path (the
         # paper likens them to a CMP); shared models share the budget.
-        pt_budget = cfg.issue_width if cfg.separate_fu else budget
+        shared = not cfg.separate_fu
 
         issued_by_thread = self._issued_by_thread
         if self._pt_ready and cfg.pthread_priority:
-            used = self._issue_from(self._pt_ready, fu_pt.avail, pt_budget)
+            used = self._issue_from(self._pt_ready, fu_pt.avail, width)
             issued_by_thread[P_THREAD] += used
-            if not cfg.separate_fu:
+            if shared:
                 budget -= used
         if budget > 0 and self._main_ready:
-            issued_by_thread[MAIN_THREAD] += self._issue_from(
-                self._main_ready, fu_main.avail, budget)
-        if self._pt_ready and not cfg.pthread_priority and budget > 0:
-            # Ablation path: p-thread competes after the main thread.
+            used = self._issue_from(self._main_ready, fu_main.avail, budget)
+            issued_by_thread[MAIN_THREAD] += used
+            if shared:
+                budget -= used
+        if self._pt_ready and not cfg.pthread_priority:
+            # Ablation path: the p-thread competes after the main thread,
+            # for the issue slots main left when the two share the machine.
             issued_by_thread[P_THREAD] += self._issue_from(
-                self._pt_ready, fu_pt.avail, pt_budget)
+                self._pt_ready, fu_pt.avail, budget if shared else width)
 
     def _issue_from(self, ready: list[DynInstr], avail: list[int],
                     budget: int) -> int:

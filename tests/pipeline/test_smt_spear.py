@@ -1,11 +1,16 @@
 """SPEAR hardware behaviour: triggering, extraction, pre-execution effects."""
 
 import dataclasses
+from collections import Counter
 
 import pytest
 
 from repro.core import (BASELINE, PThread, PThreadTable, SPEAR_128, SPEAR_256,
                         SPEAR_SF_128, MachineConfig)
+from repro.functional import Trace, TraceEntry
+from repro.isa import OpClass
+from repro.observe import RingBufferSink
+from repro.observe.events import ISSUE
 from repro.pipeline import TimingSimulator, simulate
 
 from ..conftest import gather_load_pcs
@@ -145,6 +150,30 @@ class TestPriorityAndResources:
     def test_mode_cycles_bounded(self, gather_trace, gather_table):
         res = simulate(gather_trace, SPEAR_128, gather_table)
         assert res.stats.spear.cycles_in_mode <= res.stats.cycles
+
+    @pytest.mark.parametrize("priority", [True, False])
+    def test_shared_issue_never_exceeds_width(self, priority):
+        """Main fills the issue width with independent INT + FP ALU work
+        while the p-thread pre-executes the miss-heavy load: whichever
+        thread issues second gets only the slots the first one left."""
+        alu, fpa, ld = (int(OpClass.INT_ALU), int(OpClass.FP_ALU),
+                        int(OpClass.LOAD))
+        entries = []
+        for i in range(200):
+            entries += [TraceEntry(pc, alu if pc < 4 else fpa, (), -1, -1,
+                                   False, False, False, False, False)
+                        for pc in range(8)]
+            entries.append(TraceEntry(8, ld, (), 20, i * 4096, False, True,
+                                      False, False, False))
+        table = PThreadTable()
+        table.add(PThread(dload_pc=8, slice_pcs=frozenset([8]), live_ins=()))
+        cfg = spear_variant(name="wide", pthread_priority=priority)
+        sink = RingBufferSink(capacity=None, kinds=[ISSUE])
+        res = simulate(Trace(entries, program_name="wide"), cfg, table,
+                       tracer=sink)
+        assert res.stats.spear.pthread_instrs > 0
+        per_cycle = Counter(ev.cycle for ev in sink.events())
+        assert max(per_cycle.values()) <= cfg.issue_width
 
 
 class TestWrongPathInteraction:
