@@ -55,10 +55,9 @@ class FUPool:
     issue cycle and claims a unit by decrementing its entry.
     """
 
-    __slots__ = ("config", "capacity", "avail")
+    __slots__ = ("capacity", "avail")
 
     def __init__(self, config: FUConfig):
-        self.config = config
         self.capacity = (config.int_alu, config.int_muldiv, config.fp_alu,
                          config.fp_muldiv, config.mem_ports)
         self.avail = list(self.capacity)
