@@ -5,20 +5,27 @@ architectural semantics: 32 int + 32 fp registers, byte-addressed memory
 with 8-byte words, two's-complement 64-bit integer arithmetic.
 
 The simulator is the repository's ground truth: the SPEAR compiler profiles
-with it and the timing model replays traces produced by it.  The interpreter
-loop is written as one flat dispatch chain — per the HPC guide, the hot loop
-avoids per-step allocation and attribute lookups where practical.
+with it and the timing model replays traces produced by it.  Each program
+is decoded once, when the simulator is built, into a per-pc table of flat
+``(opcode, rd, rs1, rs2, imm)`` int tuples; the interpreter loop
+dispatches on those ints with one comparison chain ordered by how often
+the evaluated workloads execute each opcode, and reads memory through
+typed ``memoryview`` casts of the data buffer.  Trace entries come from
+the program's :class:`~repro.functional.trace.EntryTable`: non-memory
+instances share one immutable entry per ``(pc, taken)``, so only memory
+instructions allocate per step.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 
 import numpy as np
 
-from ..isa.opcodes import FP_BASE, Op, ZERO_REG
+from ..isa.opcodes import FP_BASE, OP_INFO, Op, ZERO_REG
 from ..isa.program import Program, WORD_SIZE
-from .trace import Trace, TraceEntry
+from .trace import EntryTable, Trace
 
 _I64_MASK = (1 << 64) - 1
 _I64_SIGN = 1 << 63
@@ -28,6 +35,21 @@ _I64_MIN = -(1 << 63)
 _F_2P63 = float(1 << 63)
 _NAN = float("nan")
 _INF = float("inf")
+
+#: Every opcode's value as a plain int, in :class:`Op` definition order;
+#: :meth:`FunctionalSimulator.run` unpacks it into one local per opcode.
+_OPCODES = tuple(int(op) for op in Op)
+#: Decoded-only opcode (never an :class:`Op` value): a load into the zero
+#: register, which only checks its address.
+_LOAD_DISCARD = 0
+
+#: Opcodes that write an integer ``rd`` and do nothing else.
+_INT_RESULT_OPS = frozenset(
+    int(op) for op, info in OP_INFO.items()
+    if not (info.is_mem or info.is_branch or info.fp_dest)
+    and op not in (Op.NOP, Op.HALT))
+#: Shift-immediate opcodes: only the low six bits of ``imm`` matter.
+_SHIFT_IMM_OPS = frozenset((int(Op.SLLI), int(Op.SRLI), int(Op.SRAI)))
 
 
 def _wrap64(v: int) -> int:
@@ -44,12 +66,51 @@ class SimulationError(RuntimeError):
         self.pc = pc
 
 
+def _decode(ins) -> tuple[int, int, int, int, int]:
+    """One instruction's ``(opcode, rd, rs1, rs2, imm)`` decode tuple.
+
+    Floating-point operands are rebased to ``fregs`` indices, shift
+    amounts masked and ``li`` immediates wrapped.  An instruction whose
+    only effect is an integer write to the zero register decodes as
+    ``nop`` (a load keeps its address check), so the interpreter never
+    has to restore ``r0``.
+    """
+    op = int(ins.op)
+    info = ins.info
+    rd, rs1, rs2, imm = ins.rd, ins.rs1, ins.rs2, ins.imm
+    if rd == ZERO_REG and not info.fp_dest:
+        if op in _INT_RESULT_OPS:
+            op = int(Op.NOP)
+        elif op == Op.LW or op == Op.LB:
+            # rs2 carries the alignment mask the address check applies.
+            op, rs2 = _LOAD_DISCARD, 7 if op == Op.LW else 0
+        elif op == Op.JAL:
+            op = int(Op.J)
+        elif op == Op.JALR:
+            op = int(Op.JR)
+    if info.fp_dest or (info.is_store and info.fp_src):
+        rd -= FP_BASE
+    if info.fp_src and not info.is_mem:
+        rs1 -= FP_BASE
+        rs2 -= FP_BASE
+    if op in _SHIFT_IMM_OPS:
+        imm &= 63
+    elif op == Op.LI:
+        imm = _wrap64(imm)
+    return op, rd, rs1, rs2, imm
+
+
 class FunctionalSimulator:
     """Interprets SPISA programs and optionally records committed traces."""
 
     def __init__(self, program: Program):
         self.program = program
-        self.instructions = program.instructions
+        self.instructions = instrs = program.instructions
+        self._decoded = [_decode(ins) for ins in instrs]
+        self._entries = EntryTable({
+            pc: (int(ins.op_class), ins.srcs, ins.dst, ins.is_load,
+                 ins.is_store, ins.is_branch, ins.is_conditional)
+            for pc, ins in enumerate(instrs)})
         self.reset()
 
     def reset(self) -> None:
@@ -62,8 +123,6 @@ class FunctionalSimulator:
         self.pc = 0
         self.halted = False
         self.instret = 0
-        #: Per-static-pc execution counts (filled when ``count_pcs=True``).
-        self.pc_counts: dict[int, int] = {}
 
     # -- architectural accessors (used by tests and tools) ---------------------
 
@@ -104,261 +163,308 @@ class FunctionalSimulator:
 
     # -- execution ---------------------------------------------------------------
 
-    def run(self, max_instructions: int = 10_000_000, *, trace: bool = False,
-            count_pcs: bool = False) -> Trace:
+    def run(self, max_instructions: int = 10_000_000, *,
+            trace: bool = False) -> Trace:
         """Run until ``halt`` or the instruction limit.
 
         Returns the committed-path :class:`Trace` (empty entries list when
         ``trace=False``).
         """
-        entries: list[TraceEntry] = []
-        instrs = self.instructions
-        n_instrs = len(instrs)
+        (ADD, SUB, AND, OR, XOR, SLL, SRL, SRA, SLT, SLTU,
+         ADDI, ANDI, ORI, XORI, SLLI, SRLI, SRAI, SLTI, LI, MOV,
+         MUL, DIV, REM, LW, SW, LB, SB, FLW, FSW,
+         FADD, FSUB, FMUL, FDIV, FSQRT, FNEG, FABS, FMIN, FMAX,
+         FLT, FLE, FEQ, CVTIF, CVTFI, FMOV,
+         BEQ, BNE, BLT, BGE, BLTZ, BGEZ, BGTZ, BLEZ, J, JAL, JR, JALR,
+         NOP, HALT) = _OPCODES
+        LOAD_DISCARD = _LOAD_DISCARD
+        I64_MIN = _I64_MIN
+        I64_MAX = _I64_MAX
+        I64_MASK = _I64_MASK
+        wrap64 = _wrap64
+
+        entries: list = []
+        # Untraced runs still build memory entries; a zero-length deque
+        # drops them as they come.
+        append = entries.append if trace else deque(maxlen=0).append
+        table = self._entries
+        fallthrough = table.fallthrough
+        taken_entry = table.taken
+        memory_entry = table.memory
+        decoded = self._decoded
+        text_size = len(decoded)
         iregs = self.iregs
         fregs = self.fregs
-        mem = self.mem
-        mem_words = self.mem_words
-        mem_fwords = self.mem_fwords
-        mem_len = len(mem)
+        mem_bytes = memoryview(self.mem)
+        mem_words = mem_bytes.cast("q")
+        mem_fwords = mem_bytes.cast("d")
+        mem_len = len(mem_bytes)
         pc = self.pc
         executed = 0
-        pc_counts = self.pc_counts
 
         while executed < max_instructions:
-            if not 0 <= pc < n_instrs:
+            if not 0 <= pc < text_size:
                 raise SimulationError("pc outside text segment", pc)
-            ins = instrs[pc]
-            op = ins.op
-            next_pc = pc + 1
-            addr = -1
-            taken = False
+            op, rd, rs1, rs2, imm = decoded[pc]
+            executed += 1
 
-            if op == Op.ADD:
-                iregs[ins.rd] = _wrap64(iregs[ins.rs1] + iregs[ins.rs2])
-            elif op == Op.ADDI:
-                iregs[ins.rd] = _wrap64(iregs[ins.rs1] + ins.imm)
-            elif op == Op.LW:
-                addr = iregs[ins.rs1] + ins.imm
-                if addr % 8 or not 0 <= addr < mem_len:
+            if op == ADD:
+                v = iregs[rs1] + iregs[rs2]
+                iregs[rd] = v if I64_MIN <= v <= I64_MAX else wrap64(v)
+            elif op == LW:
+                addr = iregs[rs1] + imm
+                if addr & 7 or not 0 <= addr < mem_len:
                     raise SimulationError(f"bad load address {addr:#x}", pc)
-                iregs[ins.rd] = int(mem_words[addr >> 3])
-            elif op == Op.SW:
-                addr = iregs[ins.rs1] + ins.imm
-                if addr % 8 or not 0 <= addr < mem_len:
+                iregs[rd] = mem_words[addr >> 3]
+                append(memory_entry[pc](addr))
+                pc += 1
+                continue
+            elif op == ADDI:
+                v = iregs[rs1] + imm
+                iregs[rd] = v if I64_MIN <= v <= I64_MAX else wrap64(v)
+            elif op == SLLI:
+                v = iregs[rs1] << imm
+                iregs[rd] = v if I64_MIN <= v <= I64_MAX else wrap64(v)
+            elif op == ANDI:
+                iregs[rd] = iregs[rs1] & imm
+            elif op == FLW:
+                addr = iregs[rs1] + imm
+                if addr & 7 or not 0 <= addr < mem_len:
+                    raise SimulationError(f"bad load address {addr:#x}", pc)
+                fregs[rd] = mem_fwords[addr >> 3]
+                append(memory_entry[pc](addr))
+                pc += 1
+                continue
+            elif op == BGTZ:
+                if iregs[rs1] > 0:
+                    append(taken_entry[pc])
+                    pc = imm
+                    continue
+            elif op == FMUL:
+                fregs[rd] = fregs[rs1] * fregs[rs2]
+            elif op == SRAI:
+                iregs[rd] = iregs[rs1] >> imm
+            elif op == FADD:
+                fregs[rd] = fregs[rs1] + fregs[rs2]
+            elif op == XOR:
+                iregs[rd] = iregs[rs1] ^ iregs[rs2]
+            elif op == AND:
+                iregs[rd] = iregs[rs1] & iregs[rs2]
+            elif op == BLT:
+                if iregs[rs1] < iregs[rs2]:
+                    append(taken_entry[pc])
+                    pc = imm
+                    continue
+            elif op == SUB:
+                v = iregs[rs1] - iregs[rs2]
+                iregs[rd] = v if I64_MIN <= v <= I64_MAX else wrap64(v)
+            elif op == MUL:
+                v = iregs[rs1] * iregs[rs2]
+                iregs[rd] = v if I64_MIN <= v <= I64_MAX else wrap64(v)
+            elif op == BNE:
+                if iregs[rs1] != iregs[rs2]:
+                    append(taken_entry[pc])
+                    pc = imm
+                    continue
+            elif op == SW:
+                addr = iregs[rs1] + imm
+                if addr & 7 or not 0 <= addr < mem_len:
                     raise SimulationError(f"bad store address {addr:#x}", pc)
-                mem_words[addr >> 3] = iregs[ins.rd]
-            elif op == Op.SUB:
-                iregs[ins.rd] = _wrap64(iregs[ins.rs1] - iregs[ins.rs2])
-            elif op == Op.LI:
-                iregs[ins.rd] = _wrap64(ins.imm)
-            elif op == Op.MOV:
-                iregs[ins.rd] = iregs[ins.rs1]
-            elif op == Op.SLLI:
-                iregs[ins.rd] = _wrap64(iregs[ins.rs1] << (ins.imm & 63))
-            elif op == Op.SRLI:
+                mem_words[addr >> 3] = iregs[rd]
+                append(memory_entry[pc](addr))
+                pc += 1
+                continue
+            elif op == BEQ:
+                if iregs[rs1] == iregs[rs2]:
+                    append(taken_entry[pc])
+                    pc = imm
+                    continue
+            elif op == LI:
+                iregs[rd] = imm
+            elif op == MOV:
+                iregs[rd] = iregs[rs1]
+            elif op == FSUB:
+                fregs[rd] = fregs[rs1] - fregs[rs2]
+            elif op == BGE:
+                if iregs[rs1] >= iregs[rs2]:
+                    append(taken_entry[pc])
+                    pc = imm
+                    continue
+            elif op == SRLI:
                 # Logical shifts must land back in canonical signed form:
                 # a zero-distance shift of a negative value would otherwise
                 # leave an unsigned >= 2^63 in the register file, corrupting
                 # every later signed comparison (and overflowing SW).
-                iregs[ins.rd] = _wrap64(
-                    (iregs[ins.rs1] & _I64_MASK) >> (ins.imm & 63))
-            elif op == Op.SRAI:
-                iregs[ins.rd] = iregs[ins.rs1] >> (ins.imm & 63)
-            elif op == Op.ANDI:
-                iregs[ins.rd] = iregs[ins.rs1] & ins.imm
-            elif op == Op.ORI:
-                iregs[ins.rd] = _wrap64(iregs[ins.rs1] | ins.imm)
-            elif op == Op.XORI:
-                iregs[ins.rd] = _wrap64(iregs[ins.rs1] ^ ins.imm)
-            elif op == Op.AND:
-                iregs[ins.rd] = iregs[ins.rs1] & iregs[ins.rs2]
-            elif op == Op.OR:
-                iregs[ins.rd] = iregs[ins.rs1] | iregs[ins.rs2]
-            elif op == Op.XOR:
-                iregs[ins.rd] = iregs[ins.rs1] ^ iregs[ins.rs2]
-            elif op == Op.SLL:
-                iregs[ins.rd] = _wrap64(iregs[ins.rs1] << (iregs[ins.rs2] & 63))
-            elif op == Op.SRL:
-                iregs[ins.rd] = _wrap64(
-                    (iregs[ins.rs1] & _I64_MASK) >> (iregs[ins.rs2] & 63))
-            elif op == Op.SRA:
-                iregs[ins.rd] = iregs[ins.rs1] >> (iregs[ins.rs2] & 63)
-            elif op == Op.SLT:
-                iregs[ins.rd] = 1 if iregs[ins.rs1] < iregs[ins.rs2] else 0
-            elif op == Op.SLTU:
-                iregs[ins.rd] = 1 if (iregs[ins.rs1] & _I64_MASK) < (iregs[ins.rs2] & _I64_MASK) else 0
-            elif op == Op.SLTI:
-                iregs[ins.rd] = 1 if iregs[ins.rs1] < ins.imm else 0
-            elif op == Op.MUL:
-                iregs[ins.rd] = _wrap64(iregs[ins.rs1] * iregs[ins.rs2])
-            elif op == Op.DIV:
-                # RISC-V M semantics: truncated division, x/0 == -1 and
-                # INT64_MIN / -1 wraps to INT64_MIN (no trap, no float
-                # round-trip — exact for full-width operands).
-                a = iregs[ins.rs1]
-                d = iregs[ins.rs2]
-                if d == 0:
-                    iregs[ins.rd] = -1
-                else:
-                    q = abs(a) // abs(d)
-                    iregs[ins.rd] = _wrap64(-q if (a < 0) != (d < 0) else q)
-            elif op == Op.REM:
+                v = (iregs[rs1] & I64_MASK) >> imm
+                iregs[rd] = v if v <= I64_MAX else wrap64(v)
+            elif op == FSW:
+                addr = iregs[rs1] + imm
+                if addr & 7 or not 0 <= addr < mem_len:
+                    raise SimulationError(f"bad store address {addr:#x}", pc)
+                mem_fwords[addr >> 3] = fregs[rd]
+                append(memory_entry[pc](addr))
+                pc += 1
+                continue
+            elif op == OR:
+                iregs[rd] = iregs[rs1] | iregs[rs2]
+            elif op == REM:
                 # RISC-V M semantics: sign follows the dividend, x%0 == x
                 # and INT64_MIN % -1 == 0.
-                a = iregs[ins.rs1]
-                d = iregs[ins.rs2]
+                a = iregs[rs1]
+                d = iregs[rs2]
                 if d == 0:
-                    iregs[ins.rd] = a
+                    iregs[rd] = a
                 else:
                     q = abs(a) // abs(d)
                     if (a < 0) != (d < 0):
                         q = -q
-                    iregs[ins.rd] = _wrap64(a - q * d)
-            elif op == Op.LB:
-                addr = iregs[ins.rs1] + ins.imm
-                if not 0 <= addr < mem_len:
-                    raise SimulationError(f"bad load address {addr:#x}", pc)
-                b = int(mem[addr])
-                iregs[ins.rd] = b - 256 if b >= 128 else b
-            elif op == Op.SB:
-                addr = iregs[ins.rs1] + ins.imm
-                if not 0 <= addr < mem_len:
-                    raise SimulationError(f"bad store address {addr:#x}", pc)
-                mem[addr] = iregs[ins.rd] & 0xFF
-            elif op == Op.FLW:
-                addr = iregs[ins.rs1] + ins.imm
-                if addr % 8 or not 0 <= addr < mem_len:
-                    raise SimulationError(f"bad load address {addr:#x}", pc)
-                fregs[ins.rd - FP_BASE] = float(mem_fwords[addr >> 3])
-            elif op == Op.FSW:
-                addr = iregs[ins.rs1] + ins.imm
-                if addr % 8 or not 0 <= addr < mem_len:
-                    raise SimulationError(f"bad store address {addr:#x}", pc)
-                mem_fwords[addr >> 3] = fregs[ins.rd - FP_BASE]
-            elif op == Op.FADD:
-                fregs[ins.rd - FP_BASE] = fregs[ins.rs1 - FP_BASE] + fregs[ins.rs2 - FP_BASE]
-            elif op == Op.FSUB:
-                fregs[ins.rd - FP_BASE] = fregs[ins.rs1 - FP_BASE] - fregs[ins.rs2 - FP_BASE]
-            elif op == Op.FMUL:
-                fregs[ins.rd - FP_BASE] = fregs[ins.rs1 - FP_BASE] * fregs[ins.rs2 - FP_BASE]
-            elif op == Op.FDIV:
-                # IEEE 754 default (non-trapping) semantics: x/±0 -> ±inf,
-                # ±0/±0 and NaN operands -> NaN.
-                a = fregs[ins.rs1 - FP_BASE]
-                d = fregs[ins.rs2 - FP_BASE]
-                if d == 0.0:
-                    if a == 0.0 or a != a:
-                        fregs[ins.rd - FP_BASE] = _NAN
-                    else:
-                        fregs[ins.rd - FP_BASE] = (
-                            math.copysign(_INF, a) * math.copysign(1.0, d))
+                    iregs[rd] = wrap64(a - q * d)
+            elif op == DIV:
+                # RISC-V M semantics: truncated division, x/0 == -1 and
+                # INT64_MIN / -1 wraps to INT64_MIN (no trap, no float
+                # round-trip — exact for full-width operands).
+                a = iregs[rs1]
+                d = iregs[rs2]
+                if d == 0:
+                    iregs[rd] = -1
                 else:
-                    fregs[ins.rd - FP_BASE] = a / d
-            elif op == Op.FSQRT:
-                # IEEE 754: sqrt of a negative value is NaN, not a trap.
-                v = fregs[ins.rs1 - FP_BASE]
-                fregs[ins.rd - FP_BASE] = _NAN if v < 0.0 else v ** 0.5
-            elif op == Op.FNEG:
-                fregs[ins.rd - FP_BASE] = -fregs[ins.rs1 - FP_BASE]
-            elif op == Op.FABS:
-                fregs[ins.rd - FP_BASE] = abs(fregs[ins.rs1 - FP_BASE])
-            elif op == Op.FMIN:
-                fregs[ins.rd - FP_BASE] = min(fregs[ins.rs1 - FP_BASE], fregs[ins.rs2 - FP_BASE])
-            elif op == Op.FMAX:
-                fregs[ins.rd - FP_BASE] = max(fregs[ins.rs1 - FP_BASE], fregs[ins.rs2 - FP_BASE])
-            elif op == Op.FLT:
-                iregs[ins.rd] = 1 if fregs[ins.rs1 - FP_BASE] < fregs[ins.rs2 - FP_BASE] else 0
-            elif op == Op.FLE:
-                iregs[ins.rd] = 1 if fregs[ins.rs1 - FP_BASE] <= fregs[ins.rs2 - FP_BASE] else 0
-            elif op == Op.FEQ:
-                iregs[ins.rd] = 1 if fregs[ins.rs1 - FP_BASE] == fregs[ins.rs2 - FP_BASE] else 0
-            elif op == Op.CVTIF:
-                fregs[ins.rd - FP_BASE] = float(iregs[ins.rs1])
-            elif op == Op.CVTFI:
+                    q = abs(a) // abs(d)
+                    iregs[rd] = wrap64(-q if (a < 0) != (d < 0) else q)
+            elif op == CVTIF:
+                fregs[rd] = float(iregs[rs1])
+            elif op == CVTFI:
                 # RISC-V FCVT.L.D: truncate toward zero, saturate out-of-
                 # range values, NaN -> INT64_MAX (never raises).
-                v = fregs[ins.rs1 - FP_BASE]
+                v = fregs[rs1]
                 if v != v:
-                    iregs[ins.rd] = _I64_MAX
+                    iregs[rd] = I64_MAX
                 elif v >= _F_2P63:
-                    iregs[ins.rd] = _I64_MAX
+                    iregs[rd] = I64_MAX
                 elif v <= -_F_2P63:
-                    iregs[ins.rd] = _I64_MIN
+                    iregs[rd] = I64_MIN
                 else:
-                    iregs[ins.rd] = int(v)
-            elif op == Op.FMOV:
-                fregs[ins.rd - FP_BASE] = fregs[ins.rs1 - FP_BASE]
-            elif op == Op.BEQ:
-                taken = iregs[ins.rs1] == iregs[ins.rs2]
-                if taken:
-                    next_pc = ins.imm
-            elif op == Op.BNE:
-                taken = iregs[ins.rs1] != iregs[ins.rs2]
-                if taken:
-                    next_pc = ins.imm
-            elif op == Op.BLT:
-                taken = iregs[ins.rs1] < iregs[ins.rs2]
-                if taken:
-                    next_pc = ins.imm
-            elif op == Op.BGE:
-                taken = iregs[ins.rs1] >= iregs[ins.rs2]
-                if taken:
-                    next_pc = ins.imm
-            elif op == Op.BLTZ:
-                taken = iregs[ins.rs1] < 0
-                if taken:
-                    next_pc = ins.imm
-            elif op == Op.BGEZ:
-                taken = iregs[ins.rs1] >= 0
-                if taken:
-                    next_pc = ins.imm
-            elif op == Op.BGTZ:
-                taken = iregs[ins.rs1] > 0
-                if taken:
-                    next_pc = ins.imm
-            elif op == Op.BLEZ:
-                taken = iregs[ins.rs1] <= 0
-                if taken:
-                    next_pc = ins.imm
-            elif op == Op.J:
-                taken = True
-                next_pc = ins.imm
-            elif op == Op.JAL:
-                taken = True
-                iregs[ins.rd] = pc + 1
-                next_pc = ins.imm
-            elif op == Op.JR:
-                taken = True
-                next_pc = iregs[ins.rs1]
-            elif op == Op.JALR:
-                taken = True
-                target = iregs[ins.rs1]
-                iregs[ins.rd] = pc + 1
-                next_pc = target
-            elif op == Op.NOP:
+                    iregs[rd] = int(v)
+            elif op == J:
+                append(taken_entry[pc])
+                pc = imm
+                continue
+            elif op == BGEZ:
+                if iregs[rs1] >= 0:
+                    append(taken_entry[pc])
+                    pc = imm
+                    continue
+            elif op == BLTZ:
+                if iregs[rs1] < 0:
+                    append(taken_entry[pc])
+                    pc = imm
+                    continue
+            elif op == BLEZ:
+                if iregs[rs1] <= 0:
+                    append(taken_entry[pc])
+                    pc = imm
+                    continue
+            elif op == XORI:
+                v = iregs[rs1] ^ imm
+                iregs[rd] = v if I64_MIN <= v <= I64_MAX else wrap64(v)
+            elif op == ORI:
+                v = iregs[rs1] | imm
+                iregs[rd] = v if I64_MIN <= v <= I64_MAX else wrap64(v)
+            elif op == SLTI:
+                iregs[rd] = 1 if iregs[rs1] < imm else 0
+            elif op == SLT:
+                iregs[rd] = 1 if iregs[rs1] < iregs[rs2] else 0
+            elif op == SLTU:
+                iregs[rd] = 1 if (iregs[rs1] & I64_MASK) < (iregs[rs2] & I64_MASK) else 0
+            elif op == SLL:
+                v = iregs[rs1] << (iregs[rs2] & 63)
+                iregs[rd] = v if I64_MIN <= v <= I64_MAX else wrap64(v)
+            elif op == SRL:
+                v = (iregs[rs1] & I64_MASK) >> (iregs[rs2] & 63)
+                iregs[rd] = v if v <= I64_MAX else wrap64(v)
+            elif op == SRA:
+                iregs[rd] = iregs[rs1] >> (iregs[rs2] & 63)
+            elif op == LB:
+                addr = iregs[rs1] + imm
+                if not 0 <= addr < mem_len:
+                    raise SimulationError(f"bad load address {addr:#x}", pc)
+                b = mem_bytes[addr]
+                iregs[rd] = b - 256 if b >= 128 else b
+                append(memory_entry[pc](addr))
+                pc += 1
+                continue
+            elif op == SB:
+                addr = iregs[rs1] + imm
+                if not 0 <= addr < mem_len:
+                    raise SimulationError(f"bad store address {addr:#x}", pc)
+                mem_bytes[addr] = iregs[rd] & 0xFF
+                append(memory_entry[pc](addr))
+                pc += 1
+                continue
+            elif op == LOAD_DISCARD:
+                addr = iregs[rs1] + imm
+                if addr & rs2 or not 0 <= addr < mem_len:
+                    raise SimulationError(f"bad load address {addr:#x}", pc)
+                append(memory_entry[pc](addr))
+                pc += 1
+                continue
+            elif op == FMOV:
+                fregs[rd] = fregs[rs1]
+            elif op == FDIV:
+                # IEEE 754 default (non-trapping) semantics: x/±0 -> ±inf,
+                # ±0/±0 and NaN operands -> NaN.
+                a = fregs[rs1]
+                d = fregs[rs2]
+                if d == 0.0:
+                    if a == 0.0 or a != a:
+                        fregs[rd] = _NAN
+                    else:
+                        fregs[rd] = (math.copysign(_INF, a)
+                                     * math.copysign(1.0, d))
+                else:
+                    fregs[rd] = a / d
+            elif op == FSQRT:
+                # IEEE 754: sqrt of a negative value is NaN, not a trap.
+                v = fregs[rs1]
+                fregs[rd] = _NAN if v < 0.0 else v ** 0.5
+            elif op == FNEG:
+                fregs[rd] = -fregs[rs1]
+            elif op == FABS:
+                fregs[rd] = abs(fregs[rs1])
+            elif op == FMIN:
+                fregs[rd] = min(fregs[rs1], fregs[rs2])
+            elif op == FMAX:
+                fregs[rd] = max(fregs[rs1], fregs[rs2])
+            elif op == FLT:
+                iregs[rd] = 1 if fregs[rs1] < fregs[rs2] else 0
+            elif op == FLE:
+                iregs[rd] = 1 if fregs[rs1] <= fregs[rs2] else 0
+            elif op == FEQ:
+                iregs[rd] = 1 if fregs[rs1] == fregs[rs2] else 0
+            elif op == JAL:
+                iregs[rd] = pc + 1
+                append(taken_entry[pc])
+                pc = imm
+                continue
+            elif op == JR:
+                append(taken_entry[pc])
+                pc = iregs[rs1]
+                continue
+            elif op == JALR:
+                append(taken_entry[pc])
+                next_pc = iregs[rs1]
+                iregs[rd] = pc + 1
+                pc = next_pc
+                continue
+            elif op == NOP:
                 pass
-            elif op == Op.HALT:
+            elif op == HALT:
                 self.halted = True
-                executed += 1
-                if count_pcs:
-                    pc_counts[pc] = pc_counts.get(pc, 0) + 1
                 break
             else:  # pragma: no cover - every opcode is handled above
-                raise SimulationError(f"unimplemented opcode {op.name}", pc)
+                raise SimulationError(f"unimplemented opcode {op}", pc)
 
-            # The zero register is architecturally immutable.
-            iregs[0] = 0
-
-            if trace:
-                entries.append(TraceEntry(
-                    pc, int(ins.op_class), ins.srcs, ins.dst, addr, taken,
-                    ins.is_load, ins.is_store, ins.is_branch,
-                    ins.is_conditional))
-            if count_pcs:
-                pc_counts[pc] = pc_counts.get(pc, 0) + 1
-
-            pc = next_pc
-            executed += 1
+            append(fallthrough[pc])
+            pc += 1
 
         self.pc = pc
         self.instret += executed

@@ -1,7 +1,8 @@
 """Committed-path execution traces.
 
-The functional simulator emits one :class:`TraceEntry` per architecturally
-executed instruction.  Traces are the interchange format between the
+A trace holds one :class:`TraceEntry` per architecturally executed
+instruction (instances of a non-memory instruction share theirs, see
+:class:`EntryTable`).  Traces are the interchange format between the
 functional layer and both consumers:
 
 * the **profiler** (`repro.compiler.profiler`) replays a trace against a
@@ -27,10 +28,11 @@ class TraceEntry:
     """One dynamic instruction on the committed path.
 
     Attributes are deliberately flat scalars/tuples — this object is
-    allocated once per simulated instruction and read many times in the
-    timing model's inner loop.  Entries are never mutated after
-    construction and never compared by identity: unpickled traces share
-    them (see :class:`Trace`).
+    read many times in the timing model's inner loop.  Entries are never
+    mutated after construction and never compared by identity: a trace,
+    whether fresh from the interpreter or unpickled, shares one entry
+    among the instances of a non-memory instruction with the same branch
+    outcome (see :class:`EntryTable`).
     """
 
     __slots__ = ("pc", "op_class", "srcs", "dst", "addr", "taken",
@@ -63,9 +65,10 @@ class Trace:
     Every entry at one pc carries that instruction's static fields
     (``op_class``, ``srcs``, ``dst`` and the kind flags); only ``addr``
     and ``taken`` vary between its dynamic instances.  The columnar
-    pickle relies on it, and an unpickled trace shares one
-    :class:`TraceEntry` object among the instances of a non-memory
-    instruction with the same branch outcome — safe because entries are
+    pickle relies on it.  The interpreter and the unpickler build entries
+    the same way, through an :class:`EntryTable`: one shared
+    :class:`TraceEntry` per ``(pc, taken)`` of a non-memory instruction
+    and a fresh one per memory instance — safe because entries are
     immutable.
     """
 
@@ -123,27 +126,54 @@ class Trace:
         return self.count_loads() / len(self.entries) if self.entries else 0.0
 
 
+class EntryTable:
+    """The :class:`TraceEntry` objects of one program's dynamic
+    instructions, built one way for the interpreter and the unpickler.
+
+    ``statics`` maps each pc to its static record ``(op_class, srcs, dst,
+    is_load, is_store, is_branch, is_cond)``.  A non-memory instance
+    (``addr == -1``) is fully determined by its pc and branch outcome, so
+    ``fallthrough[pc]`` and ``taken[pc]`` are single shared entries;
+    ``memory[pc](addr, taken)`` builds a memory instance from the static
+    record.  The lists are indexed by pc (``None`` where ``statics`` has
+    no record).
+    """
+
+    __slots__ = ("fallthrough", "taken", "memory")
+
+    def __init__(self, statics: dict[int, tuple]):
+        size = max(statics, default=-1) + 1
+        self.fallthrough: list = [None] * size
+        self.taken: list = [None] * size
+        self.memory: list = [None] * size
+        for pc, (op, srcs, dst, ld, st, br, cond) in statics.items():
+            self.fallthrough[pc] = TraceEntry(pc, op, srcs, dst, -1, False,
+                                              ld, st, br, cond)
+            self.taken[pc] = TraceEntry(pc, op, srcs, dst, -1, True,
+                                        ld, st, br, cond)
+            self.memory[pc] = _memory_entry(pc, op, srcs, dst,
+                                            ld, st, br, cond)
+
+
+def _memory_entry(pc, op, srcs, dst, ld, st, br, cond):
+    def build(addr: int, taken: bool = False) -> TraceEntry:
+        return TraceEntry(pc, op, srcs, dst, addr, taken, ld, st, br, cond)
+    return build
+
+
 def _load_trace(program_name: str, halted: bool, statics: dict,
                 pcs: array, addrs: array, taken: bytes) -> Trace:
-    """Rebuild a :class:`Trace` from its columnar pickle.
-
-    A non-memory entry (``addr == -1``) is fully determined by its pc and
-    branch outcome, so each such ``(pc, taken)`` pair gets one shared
-    :class:`TraceEntry`; memory entries are rebuilt one per instance.
-    """
-    shared: dict = {}
+    """Rebuild a :class:`Trace` from its columnar pickle."""
+    table = EntryTable(statics)
+    fallthrough, taken_entry, memory = (table.fallthrough, table.taken,
+                                        table.memory)
     entries = []
     append = entries.append
     for pc, addr, tk in zip(pcs, addrs, taken):
-        tk = bool(tk)
-        if addr == -1:
-            entry = shared.get((pc, tk))
-            if entry is None:
-                op, srcs, dst, ld, st, br, cond = statics[pc]
-                entry = shared[pc, tk] = TraceEntry(
-                    pc, op, srcs, dst, -1, tk, ld, st, br, cond)
+        if addr != -1:
+            append(memory[pc](addr, bool(tk)))
+        elif tk:
+            append(taken_entry[pc])
         else:
-            op, srcs, dst, ld, st, br, cond = statics[pc]
-            entry = TraceEntry(pc, op, srcs, dst, addr, tk, ld, st, br, cond)
-        append(entry)
+            append(fallthrough[pc])
     return Trace(entries, program_name=program_name, halted=halted)
