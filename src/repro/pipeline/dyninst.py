@@ -19,11 +19,10 @@ class DynInstr:
     """One in-flight instruction instance."""
 
     __slots__ = ("seq", "thread", "trace_idx", "entry", "deps", "consumers",
-                 "issued", "done", "completion_cycle", "is_trigger_dload",
-                 "decode_cycle")
+                 "issued", "done", "is_trigger_dload")
 
     def __init__(self, seq: int, thread: int, trace_idx: int,
-                 entry: TraceEntry, decode_cycle: int):
+                 entry: TraceEntry):
         self.seq = seq
         self.thread = thread
         self.trace_idx = trace_idx
@@ -34,11 +33,9 @@ class DynInstr:
         self.consumers: list[DynInstr] = []
         self.issued = False
         self.done = False
-        self.completion_cycle = -1
         #: True for the p-thread instance of the d-load that triggered the
         #: current pre-execution mode (its completion ends the mode).
         self.is_trigger_dload = False
-        self.decode_cycle = decode_cycle
 
     @property
     def ready(self) -> bool:

@@ -348,7 +348,7 @@ class TimingSimulator:
                         self._end_mode()
                     entry = entries[slot.trace_idx]
                     instr = DynInstr(next_seq, MAIN_THREAD, slot.trace_idx,
-                                     entry, cycle)
+                                     entry)
                     next_seq += 1
                     for r in entry.srcs:
                         prod = last_writer.get(r)
@@ -719,8 +719,7 @@ class TimingSimulator:
 
     def _spawn_pthread_instr(self, trace_idx: int) -> None:
         entry = self._entries[trace_idx]
-        instr = DynInstr(self._next_seq, P_THREAD, trace_idx, entry,
-                         self._cycle)
+        instr = DynInstr(self._next_seq, P_THREAD, trace_idx, entry)
         self._next_seq += 1
         ptlw = self._pt_last_writer
         for r in entry.srcs:
@@ -785,7 +784,9 @@ class TimingSimulator:
         the availability vector ``avail``; returns count issued.
 
         Instructions that stay behind are compacted to the front of
-        ``ready`` in place, keeping their order.
+        ``ready`` in place, keeping their order.  Everything in ``ready``
+        was decoded or extracted in an earlier cycle: the cycle loop
+        issues before it extracts and decodes.
         """
         if budget <= 0 or not ready:
             return 0
@@ -800,11 +801,6 @@ class TimingSimulator:
         tracer = self._tracer
         trace_on = tracer is not None
         for instr in ready:
-            # Instructions decoded this very cycle issue next cycle.
-            if instr.decode_cycle >= cycle:
-                ready[keep] = instr
-                keep += 1
-                continue
             e = instr.entry
             kind = fu_kind[e.op_class]
             if not avail[kind]:
@@ -845,7 +841,6 @@ class TimingSimulator:
                     tracer.emit(TraceEvent(cycle, ISSUE, instr.thread, e.pc,
                                            instr.trace_idx))
             instr.issued = True
-            instr.completion_cycle = comp
             lst = events.get(comp)
             if lst is None:
                 events[comp] = [instr]

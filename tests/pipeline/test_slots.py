@@ -39,7 +39,7 @@ def test_no_instance_dict(obj):
 def test_dyninst_is_slotted():
     class FakeEntry:
         pc = 0
-    instr = DynInstr(0, MAIN_THREAD, 0, FakeEntry(), 0)
+    instr = DynInstr(0, MAIN_THREAD, 0, FakeEntry())
     assert not hasattr(instr, "__dict__")
 
 
