@@ -67,21 +67,23 @@ benchmarks refuse to benefit.
   1.5x.  The oracle-trace model executes p-thread slices with perfectly
   computed addresses, and the synthetic kernels have denser delinquent
   loads than 10^9-instruction SPEC executions; both flatter pre-execution.
-  The orderings (256 > 128 > baseline; sf >= shared) are preserved.
+  The orderings (256 > 128 > baseline; sf >= shared on the means) are
+  preserved.
 * **tr comes out exactly flat (1.00) rather than -1%.**  The paper's tr
   loss comes from wrong-path pre-execution polluting the cache; our
   trace-driven model cannot execute wrong-path slices, so the residual
   SPEAR cost (decode-slot and port steal) nets to zero on a benchmark with
-  no misses.  fft does reproduce a genuine loss (0.92 at IFQ-256) through
+  no misses.  fft does reproduce a genuine loss (0.94 at IFQ-256) through
   its oversized loop-carried slices, and gzip's many-d-load trigger churn
   keeps it near flat, as published.
-* **Dedicated FUs help only marginally here** (+0.3–0.8% vs the paper's
-  ~+6%): with memory-bound IPCs of 0.3–1.3 the shared 8-wide issue path
-  and 4+4 ALUs are rarely contended in our model, so removing FU
-  contention has little left to recover.  The sign (sf >= shared, biggest
-  where the p-thread is busiest) is preserved.
-* **Figure 8's reductions are larger than the paper's** (~50% vs 19.7%
-  mean) for the same coverage reason as the speedups; art remaining a
+* **Dedicated FUs help only marginally here** (+0.2–0.9 points of mean
+  speedup vs the paper's ~+6%): with memory-bound IPCs of 0.3–1.3 the
+  shared 8-wide issue path and 4+4 ALUs are rarely contended in our
+  model, so removing FU contention has little left to recover.  The sign
+  of the means (sf >= shared) is preserved; per workload the margin runs
+  from -1.4% (matrix, sf-128) to +8% (fft, sf-256).
+* **Figure 8's reductions are larger than the paper's** (56% vs 19.7%
+  mean at SPEAR-256) for the same coverage reason as the speedups; art remaining a
   top-tier reduction and zero-miss benchmarks staying at zero both hold.
 * **Figure 9's degradations are steeper** (our kernels are more
   memory-bound than full SPEC), but the ordering — baseline degrades
@@ -102,7 +104,7 @@ SECTIONS = [
     ("figure6", "Figure 6 — normalized IPC (baseline / SPEAR-128 / SPEAR-256)",
      "Paper: +12.7% / +20.1% mean; best mcf +87.6%; tr, field, fft, gzip "
      "between -1% and -6.2%.  Measured: means above, mcf/matrix lead, and "
-     "the same four benchmarks are the non-gainers (flat to -8%)."),
+     "the same four benchmarks are the non-gainers (flat to -6%)."),
     ("table3", "Table 3 — performance enhancement with a longer IFQ",
      "Paper: matrix benefits most from the deeper queue (1.45x) thanks to "
      "its near-perfect branch prediction; update/tr regress slightly.  "
@@ -110,7 +112,8 @@ SECTIONS = [
      "1.0 (our analogs' deep-queue losers)."),
     ("figure7", "Figure 7 — dedicated functional units (SPEAR.sf)",
      "Paper: +18.9% / +26.3% mean for sf-128/sf-256.  Measured: sf >= "
-     "shared everywhere, with small margins (see fidelity notes)."),
+     "shared on the means, with small per-workload margins either way "
+     "(see fidelity notes)."),
     ("figure8", "Figure 8 — L1-D cache miss reduction",
      "Paper: 19.7% of misses removed on average (SPEAR-256); best art "
      "-38.8%.  Measured: art remains top-tier; zero-miss benchmarks "
@@ -222,7 +225,10 @@ SECTIONS = [
      "How mispredict handling feeds (or starves) the trigger logic."),
     ("ablation_chaining", "Ablation — chaining triggers",
      "Collins et al.'s chaining (related work): a finishing p-thread "
-     "hands off to the next dormant d-load regardless of IFQ occupancy."),
+     "hands off to the next dormant d-load regardless of IFQ occupancy.  "
+     "On mcf it pays at neither gate, and under the 0.9-IFQ gate it "
+     "loses 0.031, more than the 0.02 the benchmark's own check "
+     "(`test_ablation_chaining_triggers`) allows, so that check fails."),
     ("ablation_region_policy", "Ablation — region policy",
      "The paper's future work on region selection: innermost-only vs the "
      "120-d-cycle budget vs growing to the outermost call-free loop."),
