@@ -23,7 +23,7 @@ from collections import deque
 
 import numpy as np
 
-from ..isa.opcodes import FP_BASE, OP_INFO, Op, ZERO_REG
+from ..isa.opcodes import FP_BASE, Op, ZERO_REG
 from ..isa.program import Program, WORD_SIZE
 from .trace import EntryTable, Trace
 
@@ -39,15 +39,6 @@ _INF = float("inf")
 #: Every opcode's value as a plain int, in :class:`Op` definition order;
 #: :meth:`FunctionalSimulator.run` unpacks it into one local per opcode.
 _OPCODES = tuple(int(op) for op in Op)
-#: Decoded-only opcode (never an :class:`Op` value): a load into the zero
-#: register, which only checks its address.
-_LOAD_DISCARD = 0
-
-#: Opcodes that write an integer ``rd`` and do nothing else.
-_INT_RESULT_OPS = frozenset(
-    int(op) for op, info in OP_INFO.items()
-    if not (info.is_mem or info.is_branch or info.fp_dest)
-    and op not in (Op.NOP, Op.HALT))
 #: Shift-immediate opcodes: only the low six bits of ``imm`` matter.
 _SHIFT_IMM_OPS = frozenset((int(Op.SLLI), int(Op.SRLI), int(Op.SRAI)))
 
@@ -70,24 +61,11 @@ def _decode(ins) -> tuple[int, int, int, int, int]:
     """One instruction's ``(opcode, rd, rs1, rs2, imm)`` decode tuple.
 
     Floating-point operands are rebased to ``fregs`` indices, shift
-    amounts masked and ``li`` immediates wrapped.  An instruction whose
-    only effect is an integer write to the zero register decodes as
-    ``nop`` (a load keeps its address check), so the interpreter never
-    has to restore ``r0``.
+    amounts masked and ``li`` immediates wrapped.
     """
     op = int(ins.op)
     info = ins.info
     rd, rs1, rs2, imm = ins.rd, ins.rs1, ins.rs2, ins.imm
-    if rd == ZERO_REG and not info.fp_dest:
-        if op in _INT_RESULT_OPS:
-            op = int(Op.NOP)
-        elif op == Op.LW or op == Op.LB:
-            # rs2 carries the alignment mask the address check applies.
-            op, rs2 = _LOAD_DISCARD, 7 if op == Op.LW else 0
-        elif op == Op.JAL:
-            op = int(Op.J)
-        elif op == Op.JALR:
-            op = int(Op.JR)
     if info.fp_dest or (info.is_store and info.fp_src):
         rd -= FP_BASE
     if info.fp_src and not info.is_mem:
@@ -177,7 +155,6 @@ class FunctionalSimulator:
          FLT, FLE, FEQ, CVTIF, CVTFI, FMOV,
          BEQ, BNE, BLT, BGE, BLTZ, BGEZ, BGTZ, BLEZ, J, JAL, JR, JALR,
          NOP, HALT) = _OPCODES
-        LOAD_DISCARD = _LOAD_DISCARD
         I64_MIN = _I64_MIN
         I64_MAX = _I64_MAX
         I64_MASK = _I64_MASK
@@ -207,6 +184,10 @@ class FunctionalSimulator:
                 raise SimulationError("pc outside text segment", pc)
             op, rd, rs1, rs2, imm = decoded[pc]
             executed += 1
+            # The zero register is architecturally immutable: whatever
+            # the previous instruction wrote to it is discarded here (and
+            # once more after the loop).
+            iregs[0] = 0
 
             if op == ADD:
                 v = iregs[rs1] + iregs[rs2]
@@ -400,13 +381,6 @@ class FunctionalSimulator:
                 append(memory_entry[pc](addr))
                 pc += 1
                 continue
-            elif op == LOAD_DISCARD:
-                addr = iregs[rs1] + imm
-                if addr & rs2 or not 0 <= addr < mem_len:
-                    raise SimulationError(f"bad load address {addr:#x}", pc)
-                append(memory_entry[pc](addr))
-                pc += 1
-                continue
             elif op == FMOV:
                 fregs[rd] = fregs[rs1]
             elif op == FDIV:
@@ -461,11 +435,12 @@ class FunctionalSimulator:
                 self.halted = True
                 break
             else:  # pragma: no cover - every opcode is handled above
-                raise SimulationError(f"unimplemented opcode {op}", pc)
+                raise SimulationError(f"unimplemented opcode {Op(op).name}", pc)
 
             append(fallthrough[pc])
             pc += 1
 
+        iregs[0] = 0
         self.pc = pc
         self.instret += executed
         return Trace(entries, program_name=self.program.name,
